@@ -1,6 +1,3 @@
-// Shim TU: implements the deprecated pre-Context comm config surface.
-#define DCHAG_ALLOW_DEPRECATED_CONFIG 1
-
 #include "comm/async.hpp"
 
 namespace dchag::comm {
@@ -175,19 +172,5 @@ std::size_t AsyncCommunicator::in_flight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return in_flight_;
 }
-
-// ----- Deprecated pre-Context shims ------------------------------------------
-
-#ifdef DCHAG_DEPRECATED_CONFIG
-
-CommConfig comm_config_from_env() {
-  return runtime::Context::from_env().comm();
-}
-
-std::optional<CommConfig> comm_scope_override() {
-  return runtime::detail::thread_comm_override();
-}
-
-#endif  // DCHAG_DEPRECATED_CONFIG
 
 }  // namespace dchag::comm

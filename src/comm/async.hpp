@@ -26,12 +26,10 @@
 // runtime types, process defaults come from Context::from_env()
 // (DCHAG_COMM / DCHAG_COMM_CHUNKS) so CI can run the whole suite under
 // either mode without code changes, and runtime::Scope overrides per
-// thread. The pre-Context CommScope/comm_config_from_env surface
-// survives only as deprecated shims behind DCHAG_DEPRECATED_CONFIG.
+// thread.
 #pragma once
 
 #include <deque>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -227,35 +225,5 @@ using CommConfig = runtime::CommConfig;
 
 using runtime::parse_comm_mode;
 using runtime::to_string;
-
-#ifdef DCHAG_DEPRECATED_CONFIG
-
-/// Pre-Context process default from the environment.
-DCHAG_DEPRECATED_CONFIG_API(
-    "use runtime::Context::from_env().comm() — the one env entry point")
-[[nodiscard]] CommConfig comm_config_from_env();
-
-/// Pre-Context thread-local override. Thin shim over runtime::Scope with
-/// a comm-only patch: nesting, worker propagation, and precedence are
-/// the runtime stack's. All ranks of a group must scope symmetrically.
-class DCHAG_DEPRECATED_CONFIG_API(
-    "use runtime::Scope with ContextPatch::with_comm") CommScope {
- public:
-  explicit CommScope(CommConfig cfg)
-      : scope_(runtime::ContextPatch::with_comm(cfg)) {}
-  CommScope(const CommScope&) = delete;
-  CommScope& operator=(const CommScope&) = delete;
-
- private:
-  runtime::Scope scope_;
-};
-
-/// Innermost active comm override on this thread, if any. Pre-Context
-/// query; new code reads runtime::active_comm_config() (or resolves a
-/// full Context with Context::effective()).
-DCHAG_DEPRECATED_CONFIG_API("use runtime::active_comm_config()")
-[[nodiscard]] std::optional<CommConfig> comm_scope_override();
-
-#endif  // DCHAG_DEPRECATED_CONFIG
 
 }  // namespace dchag::comm

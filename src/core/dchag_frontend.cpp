@@ -1,6 +1,3 @@
-// Shim TU: consumes the deprecated DchagOptions::kernels/comm overlays.
-#define DCHAG_ALLOW_DEPRECATED_CONFIG 1
-
 #include "core/dchag_frontend.hpp"
 
 #include <array>
@@ -12,28 +9,6 @@ using autograd::Variable;
 using tensor::Shape;
 using tensor::Tensor;
 
-namespace {
-
-/// Folds the deprecated per-options pins into the (optional) pinned
-/// context: a legacy field forces a pinned context so its value behaves
-/// exactly like the pre-Context thread-local scope it replaced.
-std::optional<runtime::Context> fold_legacy_options(
-    std::optional<runtime::Context> ctx, const DchagOptions& opts) {
-#ifdef DCHAG_DEPRECATED_CONFIG
-  if (opts.kernels || opts.comm) {
-    runtime::ContextBuilder b(ctx ? *ctx : runtime::Context::current());
-    if (opts.kernels) b.kernels(*opts.kernels);
-    if (opts.comm) b.comm(*opts.comm);
-    return b.build();
-  }
-#else
-  (void)opts;
-#endif
-  return ctx;
-}
-
-}  // namespace
-
 DchagFrontEnd::DchagFrontEnd(const ModelConfig& cfg, Index total_channels,
                              Communicator& comm, const DchagOptions& opts,
                              Rng& master_rng,
@@ -41,7 +16,7 @@ DchagFrontEnd::DchagFrontEnd(const ModelConfig& cfg, Index total_channels,
     : cfg_(cfg),
       comm_(&comm),
       world_size_(comm.size()),
-      ctx_(fold_legacy_options(std::move(ctx), opts)) {
+      ctx_(std::move(ctx)) {
   cfg_.validate();
   logical_slots_.resize(static_cast<std::size_t>(world_size_));
   for (int r = 0; r < world_size_; ++r)

@@ -36,15 +36,6 @@ struct DchagOptions {
   DchagOptions() = default;
   DchagOptions(Index units, AggLayerKind kind)
       : tree_units(units), partial_kind(kind) {}
-#ifdef DCHAG_DEPRECATED_CONFIG
-  /// Pre-Context three-field form; the kernel backend belongs to the
-  /// runtime::Context argument of DchagFrontEnd now.
-  DCHAG_DEPRECATED_CONFIG_API(
-      "pass a runtime::Context to DchagFrontEnd instead")
-  DchagOptions(Index units, AggLayerKind kind,
-               std::optional<tensor::KernelConfig> kernel_cfg)
-      : tree_units(units), partial_kind(kind), kernels(kernel_cfg) {}
-#endif
 
   /// Paper's TreeN: number of first-level units in the partial module
   /// (0/1 = one unit over all local channels; Fig. 9's best is Tree0).
@@ -52,22 +43,6 @@ struct DchagOptions {
   /// -C (cross-attention) vs -L (linear) partial layers; the final shared
   /// aggregation is always cross-attention (paper §3.3).
   AggLayerKind partial_kind = AggLayerKind::kLinear;
-
-#ifdef DCHAG_DEPRECATED_CONFIG
-  /// Pre-Context kernel pin. When set, it overlays the kernels field of
-  /// the front-end's Context; SPMD deployments now express the same
-  /// policy as Context::current().to_builder().kernel_backend(kBlocked)
-  /// on the Context they hand the front-end.
-  /// Deprecated: use ContextBuilder::kernels on the front-end Context.
-  std::optional<tensor::KernelConfig> kernels;
-  /// Pre-Context comm pin. When set, it overlays the comm field of the
-  /// front-end's Context (whose default already follows DCHAG_COMM /
-  /// DCHAG_COMM_CHUNKS via Context::from_env). kSync with
-  /// pipeline_chunks <= 1 is the original monolithic forward (one
-  /// blocking AllGather), kept verbatim as the parity oracle.
-  /// Deprecated: use ContextBuilder::comm on the front-end Context.
-  std::optional<comm::CommConfig> comm;
-#endif
 };
 
 class DchagFrontEnd : public model::FrontEnd {
@@ -185,7 +160,7 @@ class DchagFrontEnd : public model::FrontEnd {
   /// survivor group onto the original partition.
   std::vector<int> logical_slots_;
   /// Pinned execution context (nullopt = read the ambient context per
-  /// forward). Legacy DchagOptions::kernels/comm overlays land here too.
+  /// forward).
   std::optional<runtime::Context> ctx_;
   mutable std::optional<comm::SyncCollective> sync_coll_;
   mutable std::unique_ptr<comm::AsyncCommunicator> async_;

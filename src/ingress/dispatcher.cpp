@@ -77,10 +77,10 @@ std::unique_ptr<Ingress::Worker> Ingress::spawn_worker() {
   w->ring = std::make_unique<ShmRing>(ShmRing::create(ring_name, cfg_.ring));
   w->last_beat_seen = std::chrono::steady_clock::now();
 
-  // Child environment: the parent's, minus every context/ingress variable
-  // we are about to restate, plus the dispatcher's effective context
+  // Child environment: the parent's, minus every context variable we
+  // are about to restate, plus the dispatcher's effective context
   // re-exported through Context::to_env() — the cross-process context
-  // hand-off — and the worker-protocol variables.
+  // hand-off.
   std::vector<std::string> env_store;
   for (char** it = environ; it != nullptr && *it != nullptr; ++it) {
     const std::string entry(*it);
@@ -90,39 +90,41 @@ std::unique_ptr<Ingress::Worker> Ingress::spawn_worker() {
              entry[n] == '=';
     };
     if (is("DCHAG_KERNEL") || is("DCHAG_THREADS") || is("DCHAG_COMM") ||
-        is("DCHAG_COMM_CHUNKS") || is(kEnvCheckpoint) || is(kEnvModelSpec) ||
-        is(kEnvCrashAt))
+        is("DCHAG_COMM_CHUNKS"))
       continue;
     env_store.push_back(entry);
   }
   for (const runtime::Context::EnvEntry& e : ctx_.to_env())
     env_store.push_back(e.name + "=" + e.value);
-  env_store.push_back(std::string(kEnvCheckpoint) + "=" + cfg_.checkpoint);
-  env_store.push_back(std::string(kEnvModelSpec) + "=" +
-                      cfg_.model.serialize());
-  for (const CrashSpec& c : cfg_.crash_plan) {
-    if (c.spawn_seq == w->spawn_seq) {
-      env_store.push_back(std::string(kEnvCrashAt) + "=" +
-                          std::to_string(c.after_requests));
-      break;
-    }
-  }
 
   std::vector<char*> envp;
   envp.reserve(env_store.size() + 1);
   for (std::string& s : env_store) envp.push_back(s.data());
   envp.push_back(nullptr);
 
-  std::string exe = worker_exe_;
-  std::string arg_ring = ring_name;
-  char* argv[] = {exe.data(), arg_ring.data(), nullptr};
+  // Worker protocol (worker.hpp): <ring> <model-spec> <checkpoint>
+  // <crash-after>, where crash-after 0 means never.
+  int crash_after = 0;
+  for (const CrashSpec& c : cfg_.crash_plan) {
+    if (c.spawn_seq == w->spawn_seq) {
+      crash_after = c.after_requests;
+      break;
+    }
+  }
+  std::vector<std::string> args{worker_exe_, ring_name,
+                                cfg_.model.serialize(), cfg_.checkpoint,
+                                std::to_string(crash_after)};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
 
   pid_t pid = -1;
-  const int rc =
-      ::posix_spawn(&pid, exe.c_str(), nullptr, nullptr, argv, envp.data());
+  const int rc = ::posix_spawn(&pid, worker_exe_.c_str(), nullptr, nullptr,
+                               argv.data(), envp.data());
   if (rc != 0) {
     w->ring->unlink();
-    DCHAG_FAIL("posix_spawn(" << exe << ") failed: " << std::strerror(rc));
+    DCHAG_FAIL("posix_spawn(" << worker_exe_
+                              << ") failed: " << std::strerror(rc));
   }
   w->pid = pid;
   return w;
@@ -133,6 +135,8 @@ Ingress::Ingress(IngressConfig cfg, const runtime::Context& ctx)
   DCHAG_CHECK(cfg_.min_workers >= 1 && cfg_.max_workers >= cfg_.min_workers,
               "Ingress needs 1 <= min_workers <= max_workers");
   DCHAG_CHECK(cfg_.queue_capacity >= 1, "Ingress needs queue_capacity >= 1");
+  for (const CrashSpec& c : cfg_.crash_plan)
+    DCHAG_CHECK(c.after_requests >= 1, "CrashSpec needs after_requests >= 1");
   worker_exe_ = resolve_worker_exe();
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

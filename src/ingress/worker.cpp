@@ -2,9 +2,10 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 #include <thread>
 
 #include "ingress/shm_ring.hpp"
@@ -15,24 +16,42 @@
 
 namespace dchag::ingress {
 
+namespace {
+
+/// Whole-string decimal parse of `field` into [lo, max of T]. An empty
+/// field, a sign or trailing garbage, and overflow all throw naming
+/// `what` and the field.
+template <typename T>
+T parse_decimal(std::string_view field, T lo, const std::string& what) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  DCHAG_CHECK(ec == std::errc() && ptr == end && value >= lo,
+              "bad " << what << ": '" << field
+                     << "' (want a decimal integer >= " << lo << ")");
+  return value;
+}
+
+}  // namespace
+
 std::string ModelSpec::serialize() const {
   return preset + ":" + std::to_string(channels) + ":" +
          std::to_string(units);
 }
 
 ModelSpec ModelSpec::parse(const std::string& text) {
-  ModelSpec spec;
   const std::size_t a = text.find(':');
   const std::size_t b = a == std::string::npos ? a : text.find(':', a + 1);
-  DCHAG_CHECK(a != std::string::npos && b != std::string::npos,
+  DCHAG_CHECK(a != std::string::npos && b != std::string::npos && a > 0,
               "ModelSpec must be 'preset:channels:units', got '" << text
                                                                  << "'");
+  const std::string_view view(text);
+  ModelSpec spec;
   spec.preset = text.substr(0, a);
-  spec.channels =
-      static_cast<tensor::Index>(std::stoll(text.substr(a + 1, b - a - 1)));
-  spec.units = static_cast<tensor::Index>(std::stoll(text.substr(b + 1)));
-  DCHAG_CHECK(!spec.preset.empty() && spec.channels >= 1 && spec.units >= 1,
-              "bad ModelSpec '" << text << "'");
+  spec.channels = parse_decimal<tensor::Index>(
+      view.substr(a + 1, b - a - 1), 1, "channels in ModelSpec '" + text + "'");
+  spec.units = parse_decimal<tensor::Index>(
+      view.substr(b + 1), 1, "units in ModelSpec '" + text + "'");
   return spec;
 }
 
@@ -53,11 +72,6 @@ std::unique_ptr<model::ForecastModel> build_model(const ModelSpec& spec,
 
 namespace {
 
-const char* env_or(const char* name, const char* fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' ? v : fallback;
-}
-
 /// Pushes a response, waiting out a full ring (the dispatcher drains it
 /// continuously; a persistently full ring means the dispatcher died, in
 /// which case the control word or a SIGKILL ends us anyway).
@@ -72,11 +86,21 @@ void push_response_blocking(ShmRing& ring, const RingResponse& hdr,
 }  // namespace
 
 int worker_main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: dchag_ingress_worker <shm-ring-name>\n");
+  if (argc != 5) {
+    std::fprintf(stderr,
+                 "usage: dchag_ingress_worker <shm-ring-name> <model-spec> "
+                 "<checkpoint> <crash-after>\n");
     return 2;
   }
   try {
+    const ModelSpec spec = ModelSpec::parse(argv[2]);
+    const std::string checkpoint = argv[3];
+    // Deterministic fault injection for the crash-recovery suites: die
+    // mid-request — after consuming request N but before its response —
+    // exactly where a real forward-pass crash loses the most state.
+    const auto crash_after =
+        parse_decimal<std::uint64_t>(argv[4], 0, "crash-after");
+
     // THE context hand-off: the dispatcher re-exported its effective
     // context as DCHAG_* variables before exec, so the process default
     // built here mirrors the dispatcher's serving configuration.
@@ -86,17 +110,9 @@ int worker_main(int argc, char** argv) {
     ring.set_state(WorkerState::kStarting);
     ring.beat();
 
-    const ModelSpec spec =
-        ModelSpec::parse(env_or(kEnvModelSpec, "tiny:6:2"));
-    const char* ckpt = std::getenv(kEnvCheckpoint);
     auto model = build_model(spec, /*seed=*/1);
-    if (ckpt != nullptr && ckpt[0] != '\0') train::load_module(ckpt, *model);
+    if (!checkpoint.empty()) train::load_module(checkpoint, *model);
     serve::Engine engine(*model);
-
-    // Deterministic fault injection for the crash-recovery suites: die
-    // mid-request — after consuming request N but before its response —
-    // exactly where a real forward-pass crash loses the most state.
-    const long crash_at = std::strtol(env_or(kEnvCrashAt, "0"), nullptr, 10);
 
     ring.set_state(WorkerState::kReady);
     std::uint64_t served = 0;
@@ -122,7 +138,7 @@ int worker_main(int argc, char** argv) {
         std::vector<Index> channels(req.channels,
                                     req.channels + req.n_channels);
         Tensor pred = engine.run(images, channels, req.lead_time);
-        if (crash_at > 0 && served == static_cast<std::uint64_t>(crash_at))
+        if (served == crash_after)
           ::_exit(42);  // injected crash: request consumed, answer lost
         Tensor row =
             pred.reshape(tensor::Shape{pred.dim(1), pred.dim(2)});

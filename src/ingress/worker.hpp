@@ -5,8 +5,8 @@
 //      re-exports its own effective context as DCHAG_* variables, so
 //      Context::from_env() IS the context hand-off across the process
 //      boundary,
-//   2. reconstructs the model from a ModelSpec + checkpoint cold start
-//      (the PR 2 serving path), wraps it in a serve::Engine,
+//   2. reconstructs the model from the ModelSpec + checkpoint named on
+//      its command line, wraps it in a serve::Engine,
 //   3. serves its shared-memory request ring until told to drain.
 //
 // A crash anywhere in the forward kills only this process; the dispatcher
@@ -22,13 +22,9 @@
 
 namespace dchag::ingress {
 
-/// Environment variables of the worker protocol. All live under the
-/// DCHAG_ING_ prefix, which Context::from_env treats as a known-namespace
-/// pass-through (not an "unknown variable" diagnostic).
+/// Deployment path of the worker binary. The DCHAG_ING_ prefix is a
+/// namespace Context::from_env passes through without a diagnostic.
 inline constexpr const char* kEnvWorkerExe = "DCHAG_ING_WORKER";
-inline constexpr const char* kEnvCheckpoint = "DCHAG_ING_CKPT";
-inline constexpr const char* kEnvModelSpec = "DCHAG_ING_MODEL";
-inline constexpr const char* kEnvCrashAt = "DCHAG_ING_CRASH_AT";
 
 /// Compact description of the architecture a worker must rebuild before
 /// loading the checkpoint (weights come from the checkpoint; the spec
@@ -39,6 +35,9 @@ struct ModelSpec {
   tensor::Index units = 2;  ///< first-level aggregation units (TreeN)
 
   [[nodiscard]] std::string serialize() const;
+  /// Strict inverse of serialize(): a non-empty preset and two positive
+  /// decimal integers, each field consumed whole. Anything else throws
+  /// dchag::Error naming the offending text.
   [[nodiscard]] static ModelSpec parse(const std::string& text);
 };
 
@@ -48,9 +47,17 @@ struct ModelSpec {
 [[nodiscard]] std::unique_ptr<model::ForecastModel> build_model(
     const ModelSpec& spec, std::uint64_t seed = 1);
 
-/// Entry point of the dchag_ingress_worker binary: argv[1] is the shm
-/// ring name; everything else arrives via DCHAG_ING_* / DCHAG_* env.
-/// Returns the process exit code.
+/// Entry point of the dchag_ingress_worker binary:
+///
+///   dchag_ingress_worker <ring> <model-spec> <checkpoint> <crash-after>
+///
+/// <ring> is the shm ring name, <model-spec> a ModelSpec::serialize()
+/// string, <checkpoint> the file to cold-start from ("" = none), and
+/// <crash-after> the request whose response the worker dies before
+/// sending ("0" = never; the crash-recovery suites' fault injection).
+/// The runtime context arrives as DCHAG_* env (Context::from_env).
+/// Returns the process exit code: 0 after a drain, 1 on a fatal error
+/// (bad arguments included), 2 with a usage line on a wrong arg count.
 int worker_main(int argc, char** argv);
 
 }  // namespace dchag::ingress

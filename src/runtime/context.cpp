@@ -105,8 +105,6 @@ CommMode parse_comm_mode(const std::string& name) {
 }
 
 namespace detail {
-std::optional<CommConfig> thread_comm_override() { return t_state.comm; }
-
 std::optional<int> parse_bounded_int(const std::string& text, int lo,
                                      int hi) {
   if (text.empty()) return std::nullopt;
@@ -201,8 +199,7 @@ Context Context::from_env(const std::vector<EnvEntry>& env,
                                "' (want an integer in [1, 4096])");
       }
     } else if (e.name.rfind("DCHAG_ING_", 0) == 0) {
-      // The ingress tier's worker-protocol namespace (checkpoint path,
-      // model spec, crash injection, worker binary). Owned by
+      // The ingress tier's namespace (the worker binary path). Owned by
       // src/ingress, not the context — pass through without diagnostics.
       continue;
     } else {

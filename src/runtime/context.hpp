@@ -11,10 +11,11 @@
 //   * a Tracing/metrics sink every subsystem can emit into.
 //
 // Contexts are built with the fluent ContextBuilder, read from the
-// environment exactly once through Context::from_env() (the ONLY
-// std::getenv("DCHAG_*") call site in the tree), and overridden with the
-// RAII runtime::Scope — the single override stack that replaced
-// tensor::KernelScope and comm::CommScope.
+// environment exactly once through Context::from_env(), and overridden
+// with the RAII runtime::Scope — the single override stack. from_env() is
+// the only reader of DCHAG_* variables in the tree except one: the
+// ingress dispatcher reads the deployment path $DCHAG_ING_WORKER to find
+// its worker binary.
 //
 // Precedence, weakest to strongest:
 //
@@ -34,17 +35,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-// Legacy shims (KernelScope, CommScope, the per-subsystem config fields)
-// carry this attribute so external users migrate; the repo's own shim
-// implementations and the dedicated shim tests define
-// DCHAG_ALLOW_DEPRECATED_CONFIG before including any dchag header to
-// keep -Werror builds clean while the warning still fires elsewhere.
-#if defined(DCHAG_ALLOW_DEPRECATED_CONFIG)
-#define DCHAG_DEPRECATED_CONFIG_API(msg)
-#else
-#define DCHAG_DEPRECATED_CONFIG_API(msg) [[deprecated(msg)]]
-#endif
 
 namespace dchag::tensor {
 class ThreadPool;
@@ -257,8 +247,7 @@ inline ContextBuilder Context::to_builder() const {
 // ---------------------------------------------------------------------------
 
 /// Partial override: only the engaged fields shadow the surrounding
-/// configuration. This is what the deprecated KernelScope / CommScope
-/// shims push — a kernels-only patch leaves an explicit Context's comm
+/// configuration: a kernels-only patch leaves an explicit Context's comm
 /// choice intact instead of silently resetting it.
 struct ContextPatch {
   std::optional<KernelConfig> kernels;
@@ -338,10 +327,6 @@ namespace detail {
 /// `fallback` unless `text` is a bare integer in [lo, hi].
 [[nodiscard]] std::optional<int> parse_bounded_int(const std::string& text,
                                                    int lo, int hi);
-/// Innermost Scope comm override on this thread, if any. Exists for the
-/// deprecated comm::comm_scope_override() shim; new code resolves a full
-/// Context instead.
-[[nodiscard]] std::optional<CommConfig> thread_comm_override();
 }  // namespace detail
 
 }  // namespace dchag::runtime

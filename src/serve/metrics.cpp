@@ -12,8 +12,7 @@ std::string Metrics::Snapshot::to_string() const {
      << "ms queue=" << mean_queue_ms << "ms forward=" << mean_forward_ms
      << "ms rate=" << requests_per_s << "req/s max_depth="
      << max_queue_depth << " recoveries=" << recoveries << " recovery="
-     << mean_recovery_ms << "ms hedged=" << hedged_dispatches
-     << " degraded=" << degraded_responses
+     << mean_recovery_ms << "ms degraded=" << degraded_responses
      << " fwd_allocs=" << forward_allocations
      << " last_fwd_allocs=" << last_forward_allocations;
   return os.str();
@@ -33,7 +32,6 @@ std::string Metrics::Snapshot::to_exposition() const {
      << "dchag_serve_max_queue_depth " << max_queue_depth << "\n"
      << "dchag_serve_recoveries_total " << recoveries << "\n"
      << "dchag_serve_mean_recovery_ms " << mean_recovery_ms << "\n"
-     << "dchag_serve_hedged_dispatches_total " << hedged_dispatches << "\n"
      << "dchag_serve_degraded_responses_total " << degraded_responses << "\n"
      << "dchag_serve_forward_allocations_total " << forward_allocations
      << "\n"

@@ -30,8 +30,6 @@ class Metrics {
     std::uint64_t max_queue_depth = 0;
     std::uint64_t recoveries = 0;  ///< rank failures healed (respawn done)
     double mean_recovery_ms = 0.0;  ///< failure detection -> heal ready
-    std::uint64_t hedged_dispatches = 0;  ///< jobs re-dispatched past the
-                                          ///< straggler hedge timeout
     std::uint64_t degraded_responses = 0;  ///< answers served from a
                                            ///< survivor channel subset
     std::uint64_t forward_allocations = 0;  ///< heap buffer allocations on
@@ -80,13 +78,6 @@ class Metrics {
     recovery_ms_sum_ += recovery_ms;
   }
 
-  /// run() re-dispatched a job whose first pass was stuck past the hedge
-  /// timeout (straggler or in-flight recovery).
-  void record_hedged_dispatch() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++hedged_dispatches_;
-  }
-
   /// An answer served from the surviving channel subset of a degraded
   /// world (correct for those channels, narrower than requested inputs).
   void record_degraded_response() {
@@ -115,7 +106,6 @@ class Metrics {
     s.failed = failed_;
     s.max_queue_depth = max_queue_depth_;
     s.recoveries = recoveries_;
-    s.hedged_dispatches = hedged_dispatches_;
     s.degraded_responses = degraded_responses_;
     s.forward_allocations = forward_allocations_;
     s.last_forward_allocations = last_forward_allocations_;
@@ -158,7 +148,6 @@ class Metrics {
   std::uint64_t batched_requests_ = 0;
   std::uint64_t max_queue_depth_ = 0;
   std::uint64_t recoveries_ = 0;
-  std::uint64_t hedged_dispatches_ = 0;
   std::uint64_t degraded_responses_ = 0;
   std::uint64_t forward_allocations_ = 0;
   std::uint64_t last_forward_allocations_ = 0;

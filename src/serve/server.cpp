@@ -1,6 +1,3 @@
-// Shim TU: consumes the deprecated ServerConfig::kernels overlay.
-#define DCHAG_ALLOW_DEPRECATED_CONFIG 1
-
 #include "serve/server.hpp"
 
 #include <chrono>
@@ -35,11 +32,6 @@ Server::Server(InferenceFn infer, ServerConfig cfg,
       batcher_(cfg.batcher) {
   DCHAG_CHECK(infer_ != nullptr, "Server needs an InferenceFn");
   DCHAG_CHECK(cfg_.num_workers >= 1, "Server needs >= 1 worker");
-#ifdef DCHAG_DEPRECATED_CONFIG
-  // Legacy per-worker kernel pin folds into the context workers inherit.
-  if (cfg_.kernels)
-    ctx_ = ctx_.to_builder().kernels(*cfg_.kernels).build();
-#endif
 }
 
 Server::~Server() { drain(); }

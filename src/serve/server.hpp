@@ -8,7 +8,6 @@
 // futures and the worker keeps serving.
 #pragma once
 
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -26,15 +25,6 @@ struct ServerConfig {
   /// SpmdEngine serializes internally).
   int num_workers = 1;
   BatcherConfig batcher;
-#ifdef DCHAG_DEPRECATED_CONFIG
-  /// Pre-Context per-worker kernel pin; overlays the kernels field of
-  /// the server's Context. A many-worker latency-oriented server
-  /// typically pins kBlocked so each worker stays on its own core —
-  /// express that as Context::current().to_builder().kernel_backend(
-  /// kBlocked) on the Context handed to the Server now. Unset = inherit.
-  /// Deprecated: use ContextBuilder::kernels on the Server Context.
-  std::optional<tensor::KernelConfig> kernels;
-#endif
 };
 
 class Server {

@@ -1,6 +1,3 @@
-// Shim TU: consumes the deprecated SpmdEngineConfig::fault_plan slot.
-#define DCHAG_ALLOW_DEPRECATED_CONFIG 1
-
 #include "serve/spmd_engine.hpp"
 
 #include <algorithm>
@@ -35,14 +32,9 @@ SpmdEngine::SpmdEngine(int ranks, RankModelFactory factory,
       ctx_(ctx.effective()),
       factory_(std::move(factory)),
       metrics_(std::move(cfg.metrics)),
-      checkpoint_dir_(std::move(cfg.checkpoint_dir)),
-      hedge_timeout_(cfg.hedge_timeout) {
+      checkpoint_dir_(std::move(cfg.checkpoint_dir)) {
   DCHAG_CHECK(ranks_ >= 1, "SpmdEngine needs >= 1 rank");
   DCHAG_CHECK(factory_ != nullptr, "SpmdEngine needs a model factory");
-#ifdef DCHAG_DEPRECATED_CONFIG
-  if (cfg.fault_plan)
-    ctx_ = ctx_.to_builder().fault_plan(cfg.fault_plan).build();
-#endif
   serving_members_ = full_membership(ranks_);
   world_thread_ = std::thread([this] {
     try {
@@ -402,20 +394,7 @@ Tensor SpmdEngine::run(const Tensor& images,
   const auto answered = [&] {
     return done_seq_ >= seq || failure_ != nullptr;
   };
-  if (hedge_timeout_.count() <= 0) {
-    cv_done_.wait(lock, answered);
-  } else if (!cv_done_.wait_for(lock, hedge_timeout_, answered)) {
-    // Hedged dispatch: the pass is stuck behind a straggler or an
-    // in-flight recovery. Every rank serves passes strictly in order,
-    // so a re-issued pass could never overtake the stuck one here —
-    // worse, a second seq can reach late-picking ranks as their FIRST
-    // pass, splitting the world across pass counts and wedging the
-    // collective schedule. The hedge therefore records the tail event
-    // and re-signals the world, then rides out the original pass.
-    if (metrics_) metrics_->record_hedged_dispatch();
-    cv_job_.notify_all();
-    cv_done_.wait(lock, answered);
-  }
+  cv_done_.wait(lock, answered);
   if (failure_) std::rethrow_exception(failure_);
   if (job_error_) std::rethrow_exception(job_error_);  // world still serves
   return result_;

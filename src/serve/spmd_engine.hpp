@@ -49,7 +49,7 @@ namespace dchag::serve {
 /// it unless the factory pins its own.
 struct SpmdEngineConfig {
   /// Optional sink for engine-level counters: recoveries (+ mean recovery
-  /// time), hedged dispatches, degraded responses. Typically shared with
+  /// time) and degraded responses. Typically shared with
   /// the Server's request metrics.
   std::shared_ptr<Metrics> metrics;
 
@@ -59,22 +59,6 @@ struct SpmdEngineConfig {
   /// path exercised by train/checkpoint round-tripping. When empty,
   /// respawn relies on the factory's master-seed determinism alone.
   std::string checkpoint_dir;
-
-  /// When positive, a job that has produced no answer within this budget
-  /// is hedged: the dispatch is counted in `metrics` and the world is
-  /// re-signaled, then the caller rides out the original pass (in-process
-  /// ranks serve passes strictly in order, so a re-issued pass could
-  /// never overtake the stuck one). Surfaces straggler-delayed and
-  /// recovery-stalled jobs in the counters. Zero disables hedging.
-  std::chrono::milliseconds hedge_timeout{0};
-
-#ifdef DCHAG_DEPRECATED_CONFIG
-  /// Pre-Context fault slot; overlays the Context's fault_plan. The
-  /// serving path must stay live and deadlock-free under a plan; tests
-  /// assert tail-latency metrics still populate.
-  /// Deprecated: use ContextBuilder::fault_plan on the engine Context.
-  std::shared_ptr<const comm::FaultPlan> fault_plan;
-#endif
 };
 
 class SpmdEngine {
@@ -179,7 +163,6 @@ class SpmdEngine {
   RankModelFactory factory_;  ///< kept: respawned ranks rebuild through it
   std::shared_ptr<Metrics> metrics_;
   std::string checkpoint_dir_;
-  std::chrono::milliseconds hedge_timeout_{0};
   std::thread world_thread_;
 
   std::mutex run_mu_;  // serializes run() callers

@@ -1,8 +1,5 @@
-// Shim TU: reads the unified runtime::Context and applies the CPU
-// capability degrade. Reading the deprecated surface it implements must
-// not warn here.
-#define DCHAG_ALLOW_DEPRECATED_CONFIG 1
-
+// Reads the unified runtime::Context and applies the CPU capability
+// degrade.
 #include "tensor/kernel_config.hpp"
 
 #include <cstdio>
@@ -39,13 +36,6 @@ KernelConfig sanitize(KernelConfig cfg) {
 KernelConfig kernel_config() {
   return sanitize(runtime::active_kernel_config());
 }
-
-#ifdef DCHAG_DEPRECATED_CONFIG
-void set_kernel_config(KernelConfig cfg) {
-  runtime::Context::set_process_default(
-      runtime::Context::process_default().to_builder().kernels(cfg).build());
-}
-#endif
 
 bool blocked_kernels_supported() {
 #if defined(__x86_64__) || defined(_M_X64)

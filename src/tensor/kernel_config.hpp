@@ -13,9 +13,7 @@
 // (runtime/context.hpp): KernelConfig/KernelBackend are aliases of the
 // runtime types, kernel_config() reads the calling thread's effective
 // context (innermost runtime::Scope, else the process default, which
-// Context::from_env() initialises from DCHAG_KERNEL / DCHAG_THREADS),
-// and the pre-Context KernelScope / set_kernel_config surface survives
-// only as deprecated shims behind DCHAG_DEPRECATED_CONFIG.
+// Context::from_env() initialises from DCHAG_KERNEL / DCHAG_THREADS).
 #pragma once
 
 #include <string>
@@ -42,29 +40,5 @@ using runtime::to_string;
 /// Every blocked/parallel request then degrades to kNaive at dispatch —
 /// never a fault, never an exception, so exotic hosts still run.
 [[nodiscard]] bool blocked_kernels_supported();
-
-#ifdef DCHAG_DEPRECATED_CONFIG
-
-/// Replaces the kernels field of the process-default runtime::Context.
-DCHAG_DEPRECATED_CONFIG_API(
-    "use runtime::Context::set_process_default (or a runtime::Scope)")
-void set_kernel_config(KernelConfig cfg);
-
-/// Pre-Context thread-local override. Thin shim over runtime::Scope with
-/// a kernels-only patch: nesting, worker propagation, and precedence are
-/// the runtime stack's.
-class DCHAG_DEPRECATED_CONFIG_API(
-    "use runtime::Scope with ContextPatch::with_kernels") KernelScope {
- public:
-  explicit KernelScope(KernelConfig cfg)
-      : scope_(runtime::ContextPatch::with_kernels(cfg)) {}
-  KernelScope(const KernelScope&) = delete;
-  KernelScope& operator=(const KernelScope&) = delete;
-
- private:
-  runtime::Scope scope_;
-};
-
-#endif  // DCHAG_DEPRECATED_CONFIG
 
 }  // namespace dchag::tensor

@@ -1,6 +1,3 @@
-// Shim TU: consumes the deprecated LoopConfig::kernels/comm overlays.
-#define DCHAG_ALLOW_DEPRECATED_CONFIG 1
-
 #include "train/loops.hpp"
 
 namespace dchag::train {
@@ -10,35 +7,11 @@ using tensor::Index;
 using tensor::Rng;
 using tensor::Tensor;
 
-namespace {
-
-/// The context a loop runs under: the explicit/ambient context with the
-/// deprecated LoopConfig pins overlaid (they used to be thread-local
-/// scopes for the loop's duration, which is exactly what the returned
-/// context becomes via runtime::Scope).
-runtime::Context loop_context(const std::optional<runtime::Context>& ctx,
-                              const LoopConfig& cfg) {
-  runtime::Context out = runtime::Context::effective_or_current(ctx);
-#ifdef DCHAG_DEPRECATED_CONFIG
-  if (cfg.kernels || cfg.comm) {
-    runtime::ContextBuilder b(out);
-    if (cfg.kernels) b.kernels(*cfg.kernels);
-    if (cfg.comm) b.comm(*cfg.comm);
-    out = b.build();
-  }
-#else
-  (void)cfg;
-#endif
-  return out;
-}
-
-}  // namespace
-
 TrainCurve train_mae(
     model::MaeModel& mae, const LoopConfig& cfg,
     const std::function<Tensor(Index)>& next_batch,
     std::optional<runtime::Context> ctx) {
-  runtime::Scope scope(loop_context(ctx, cfg));
+  runtime::Scope scope(runtime::Context::effective_or_current(ctx));
   Adam opt(mae.parameters(), cfg.adam);
   TrainCurve curve;
   curve.losses.reserve(static_cast<std::size_t>(cfg.steps));
@@ -66,7 +39,7 @@ TrainCurve train_forecast(
     model::ForecastModel& fm, const LoopConfig& cfg,
     const std::function<std::pair<Tensor, Tensor>(Index)>& next_pair,
     std::optional<runtime::Context> ctx) {
-  runtime::Scope scope(loop_context(ctx, cfg));
+  runtime::Scope scope(runtime::Context::effective_or_current(ctx));
   Adam opt(fm.parameters(), cfg.adam);
   TrainCurve curve;
   curve.losses.reserve(static_cast<std::size_t>(cfg.steps));

@@ -23,21 +23,6 @@ struct LoopConfig {
   float mask_ratio = 0.75f;  // MAE only
   AdamConfig adam{};
   std::uint64_t data_seed = 1234;
-#ifdef DCHAG_DEPRECATED_CONFIG
-  /// Pre-Context kernel pin for the whole loop; overlays the kernels
-  /// field of the loop's Context. SPMD rank threads used to pass
-  /// kBlocked here so P ranks training side by side don't contend for
-  /// the shared pool — express that as a runtime::Context argument (or
-  /// an enclosing runtime::Scope) now. Unset = inherit.
-  /// Deprecated: use ContextBuilder::kernels on the loop Context.
-  std::optional<tensor::KernelConfig> kernels;
-  /// Pre-Context comm pin for the whole loop; overlays the comm field of
-  /// the loop's Context. sync is the parity oracle, async overlaps the
-  /// D-CHAG gather with the next micro-chunk's compute. Every rank of an
-  /// SPMD group must pass the same value. Unset = inherit.
-  /// Deprecated: use ContextBuilder::comm on the loop Context.
-  std::optional<comm::CommConfig> comm;
-#endif
 };
 
 struct TrainCurve {

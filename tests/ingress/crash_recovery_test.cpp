@@ -132,5 +132,22 @@ TEST(CrashRecovery, CrashDuringDrainStillAnswersEverything) {
   EXPECT_GE(c.worker_restarts, 1u);
 }
 
+TEST(CrashRecovery, WorkerWithWrongArgCountPrintsUsageAndExits2) {
+  // The crash point now rides on the worker's command line; a spawn that
+  // lost an argument must fail loudly, never serve with a default.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{},
+        std::vector<std::string>{"ring"},
+        std::vector<std::string>{"ring", "tiny:4:2", ""},
+        std::vector<std::string>{"ring", "tiny:4:2", "", "0", "extra"}}) {
+    const testutil::WorkerRun run = testutil::run_worker_main(args);
+    EXPECT_EQ(run.code, 2) << args.size() << " args";
+    EXPECT_NE(run.err.find("usage: dchag_ingress_worker <shm-ring-name> "
+                           "<model-spec> <checkpoint> <crash-after>"),
+              std::string::npos)
+        << run.err;
+  }
+}
+
 }  // namespace
 }  // namespace dchag::ingress

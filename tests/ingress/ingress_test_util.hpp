@@ -3,6 +3,9 @@
 // answer is compared against.
 #pragma once
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,6 +71,37 @@ inline void expect_bit_exact(const tensor::Tensor& got,
   ASSERT_EQ(got.shape(), want.shape());
   for (tensor::Index i = 0; i < want.numel(); ++i)
     ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
+}
+
+/// Exit code and stderr text of one in-process worker_main call.
+struct WorkerRun {
+  int code = 0;
+  std::string err;
+};
+
+/// Calls worker_main with `args` after argv[0], capturing its stderr.
+inline WorkerRun run_worker_main(std::vector<std::string> args) {
+  args.insert(args.begin(), "dchag_ingress_worker");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+
+  std::FILE* capture = std::tmpfile();
+  const int saved = ::dup(STDERR_FILENO);
+  ::dup2(::fileno(capture), STDERR_FILENO);
+  WorkerRun run;
+  run.code = worker_main(static_cast<int>(args.size()), argv.data());
+  std::fflush(stderr);
+  ::dup2(saved, STDERR_FILENO);
+  ::close(saved);
+
+  std::rewind(capture);
+  char buf[512];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), capture)) > 0)
+    run.err.append(buf, n);
+  std::fclose(capture);
+  return run;
 }
 
 inline IngressConfig base_config(const TrainedModel& trained) {

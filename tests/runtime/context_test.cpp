@@ -127,14 +127,11 @@ TEST(ContextFromEnv, GarbageAndUnknownsAllLandInOneDiagnostic) {
 }
 
 TEST(ContextFromEnv, IngressNamespacePassesThroughWithoutDiagnostics) {
-  // DCHAG_ING_* belongs to the ingress worker protocol (checkpoint path,
-  // model spec, crash injection); from_env must neither consume nor
-  // complain about it.
+  // DCHAG_ING_* belongs to the ingress tier (the worker binary path);
+  // from_env must neither consume nor complain about it.
   Context::EnvReport report;
   const Context ctx = Context::from_env(
-      Env{{"DCHAG_ING_CKPT", "/tmp/ckpt.bin"},
-          {"DCHAG_ING_MODEL", "tiny:4:2"},
-          {"DCHAG_ING_CRASH_AT", "3"},
+      Env{{"DCHAG_ING_WORKER", "bin/dchag_ingress_worker"},
           {"DCHAG_KERNEL", "blocked"}},
       &report);
   EXPECT_TRUE(report.ok()) << report.summary();

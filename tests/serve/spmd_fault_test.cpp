@@ -57,7 +57,9 @@ TEST(SpmdFault, StragglerRankStillServesExactResultsWithTailMetrics) {
   // progress threads' shadow group as well as the main collectives.
   const comm::CommConfig async_cfg{comm::CommMode::kAsync,
                                    /*pipeline_chunks=*/2};
-  SpmdEngine slow(kRanks, make_factory(cfg, async_cfg), {},
+  SpmdEngineConfig ecfg;
+  ecfg.metrics = std::make_shared<Metrics>();
+  SpmdEngine slow(kRanks, make_factory(cfg, async_cfg), ecfg,
                   straggler_context());
   SpmdEngine quiet(kRanks, make_factory(cfg, async_cfg));
 
@@ -96,41 +98,12 @@ TEST(SpmdFault, StragglerRankStillServesExactResultsWithTailMetrics) {
   EXPECT_GT(m.p99_ms, 0.0);
   EXPECT_GE(m.p99_ms, m.p50_ms);
   EXPECT_GT(m.p99_ms, 0.8);
-  // Engines destruct here: a deadlocked shutdown fails via ctest timeout.
-}
-
-TEST(SpmdFault, HedgedDispatchFiresOnStragglersWithoutFakingARecovery) {
-  ModelConfig cfg = ModelConfig::tiny();
-  // A much harsher straggler than the tail-latency test: every job takes
-  // >> 1 ms, so a 1 ms hedge budget must trip at least once.
-  comm::FaultSpec spec;
-  spec.seed = 404;
-  spec.per_rank_delay_us = {0, 0, 3000, 0};
-  const runtime::Context ctx =
-      runtime::ContextBuilder()
-          .fault_plan(comm::make_fault_plan(spec, kRanks))
-          .build();
-  SpmdEngineConfig ecfg;
-  ecfg.metrics = std::make_shared<Metrics>();
-  ecfg.hedge_timeout = std::chrono::milliseconds(1);
-  SpmdEngine slow(kRanks, make_factory(cfg, {}), ecfg, ctx);
-  SpmdEngine quiet(kRanks, make_factory(cfg, {}));
-
-  for (int i = 0; i < 4; ++i) {
-    Tensor batch = sample_batch(700 + static_cast<std::uint64_t>(i))
-                       .reshape(Shape{1, kChannels, 16, 16});
-    // Hedging re-runs the same deterministic job: still bit-exact.
-    ASSERT_EQ(ops::max_abs_diff(slow.run(batch, {}, 1.0f),
-                                quiet.run(batch, {}, 1.0f)),
-              0.0f)
-        << "request " << i;
-  }
-  const Metrics::Snapshot m = ecfg.metrics->summary();
-  EXPECT_GE(m.hedged_dispatches, 1u);
   // Stragglers are slowness, not failure: no recovery machinery fired.
-  EXPECT_EQ(m.recoveries, 0u);
-  EXPECT_EQ(m.mean_recovery_ms, 0.0);
-  EXPECT_EQ(m.degraded_responses, 0u);
+  const Metrics::Snapshot em = ecfg.metrics->summary();
+  EXPECT_EQ(em.recoveries, 0u);
+  EXPECT_EQ(em.mean_recovery_ms, 0.0);
+  EXPECT_EQ(em.degraded_responses, 0u);
+  // Engines destruct here: a deadlocked shutdown fails via ctest timeout.
 }
 
 TEST(SpmdFault, RankDeathServesDegradedThenHealsBitExact) {
