@@ -4,7 +4,7 @@
 //      checkpoint.
 //   2. Start the ingress: a TCP listener dispatching onto a pool of
 //      worker PROCESSES over shared-memory rings, each cold-starting a
-//      serve::Engine from the checkpoint (the runtime::Context crosses
+//      serve::Server from the checkpoint (the runtime::Context crosses
 //      the process boundary as DCHAG_* environment).
 //   3. Fire 48 requests from 4 socket clients, mixing full-channel and
 //      channel-subset requests.

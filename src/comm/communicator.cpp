@@ -111,9 +111,11 @@ std::shared_ptr<GroupState> FailureLedger::recovery_group(
     const std::string& key,
     const std::function<std::shared_ptr<GroupState>()>& make) {
   std::scoped_lock lk(mu_);
-  auto it = groups_.find(key);
-  if (it == groups_.end()) it = groups_.emplace(key, make()).first;
-  return it->second;
+  std::erase_if(groups_, [](const auto& kv) { return kv.second.expired(); });
+  std::weak_ptr<GroupState>& slot = groups_[key];
+  std::shared_ptr<GroupState> group = slot.lock();
+  if (!group) slot = group = make();
+  return group;
 }
 
 bool SeqBarrier::arrive_and_wait(std::uint64_t seen_epoch) {

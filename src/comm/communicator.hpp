@@ -101,7 +101,10 @@ class FailureLedger {
   /// Barrier-free rendezvous for post-failure regrouping: the first
   /// caller under `key` creates the group via `make`; everyone else gets
   /// the same GroupState. Keys are caller-chosen (the serving layer uses
-  /// "phase#generation" tags) so repeated recoveries stay distinct.
+  /// "phase#generation" tags) so repeated recoveries stay distinct. The
+  /// ledger holds groups weakly — every group owns the ledger, so a
+  /// strong reference back would keep both alive forever; a group lives
+  /// as long as some member's handle does.
   std::shared_ptr<GroupState> recovery_group(
       const std::string& key,
       const std::function<std::shared_ptr<GroupState>()>& make);
@@ -112,7 +115,7 @@ class FailureLedger {
   std::map<int, std::uint64_t> fired_;  ///< event index -> firing epoch
   std::vector<int> dead_;               ///< sorted world ranks
   Repro last_;
-  std::map<std::string, std::shared_ptr<GroupState>> groups_;
+  std::map<std::string, std::weak_ptr<GroupState>> groups_;
 };
 
 /// Rendezvous barrier that can break. Functionally std::barrier with a
@@ -219,6 +222,12 @@ class Communicator {
   /// event). Recovery code snapshots it to tag regrouping rendezvous and
   /// re-checks it after regrouping to detect events that raced in.
   [[nodiscard]] std::uint64_t fault_epoch() const;
+  /// The world's failure ledger, held weakly: it must expire once every
+  /// group of the world (recovery groups included) is gone.
+  [[nodiscard]] std::weak_ptr<const detail::FailureLedger> failure_ledger()
+      const {
+    return state_->ledger;
+  }
 
   /// Synchronisation point for all ranks in the group.
   void barrier();

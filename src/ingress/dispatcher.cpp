@@ -42,6 +42,26 @@ std::string exe_dir() {
   return slash == std::string::npos ? std::string() : path.substr(0, slash);
 }
 
+/// Why a model of `channels` input channels behind rings of `max_floats`
+/// payload floats cannot serve `req`; empty when it can.
+std::string unservable(const InferRequest& req, Index channels,
+                       std::uint64_t max_floats) {
+  if (static_cast<std::uint64_t>(req.images.numel()) > max_floats)
+    return "sample exceeds the ring payload budget";
+  const std::vector<Index>& ids = req.channels;
+  if (!ids.empty() && static_cast<Index>(ids.size()) != req.images.dim(0))
+    return std::to_string(ids.size()) + " channel ids for " +
+           std::to_string(req.images.dim(0)) + " image channels";
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < 0 || ids[i] >= channels)
+      return "channel id " + std::to_string(ids[i]) + " outside [0, " +
+             std::to_string(channels) + ")";
+    if (i > 0 && ids[i] <= ids[i - 1])
+      return "channel ids must be strictly increasing";
+  }
+  return {};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -250,11 +270,11 @@ void Ingress::handle_infer(const std::shared_ptr<Conn>& conn,
     send_error(conn, 0, e.code(), e.what());
     return;
   }
-  if (static_cast<std::uint64_t>(req.images.numel()) >
-      cfg_.ring.max_payload_floats) {
+  if (const std::string why = unservable(req, cfg_.model.channels,
+                                         cfg_.ring.max_payload_floats);
+      !why.empty()) {
     counters_.reject_bad();
-    send_error(conn, req.id, ErrorCode::kBadRequest,
-               "sample exceeds the ring payload budget");
+    send_error(conn, req.id, ErrorCode::kBadRequest, why);
     return;
   }
 
@@ -349,13 +369,42 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
 // Dispatch
 // ---------------------------------------------------------------------------
 
+void Ingress::collect(Worker& w, std::vector<Done>* done) {
+  Done d;
+  while (w.ring->try_pop_response(&d.hdr, &d.payload, &d.error)) {
+    auto it = w.in_flight.find(d.hdr.id);
+    if (it == w.in_flight.end()) continue;  // stale after redispatch
+    d.job = std::move(it->second);
+    w.in_flight.erase(it);
+    done->push_back(std::move(d));
+  }
+}
+
+void Ingress::deliver(Done& d) {
+  // Count before writing: a client holding its answer sees it counted.
+  const double total =
+      ms_between(d.job.accepted, std::chrono::steady_clock::now());
+  const double queued = ms_between(d.job.accepted, d.job.dispatched);
+  metrics_.record_request(total, queued);
+  metrics_.record_batch(1, total - queued);
+  metrics_.mark_window(now_ms());
+  counters_.complete();
+  if (d.hdr.status == 0) {
+    InferResult result;
+    result.id = d.job.client_id;
+    result.pred =
+        Tensor::from_data(tensor::Shape{d.hdr.s, d.hdr.d}, d.payload);
+    const std::vector<std::uint8_t> bytes = encode_result(result);
+    std::lock_guard<std::mutex> lock(d.job.conn->write_mu);
+    if (d.job.conn->fd >= 0)
+      write_frame(d.job.conn->fd, MsgType::kResult, bytes);
+  } else {
+    send_error(d.job.conn, d.job.client_id,
+               static_cast<ErrorCode>(d.hdr.status), d.error);
+  }
+}
+
 void Ingress::dispatch_loop() {
-  struct Done {
-    Job job;
-    RingResponse hdr;
-    std::vector<float> payload;
-    std::string error;
-  };
   for (;;) {
     std::vector<Done> done;
     bool idle_now = false;
@@ -364,20 +413,7 @@ void Ingress::dispatch_loop() {
       if (stopped_) return;
 
       // 1. Collect finished work from every worker's response ring.
-      for (auto& w : workers_) {
-        RingResponse resp;
-        std::vector<float> payload;
-        std::string error;
-        while (w->ring->try_pop_response(&resp, &payload, &error)) {
-          auto it = w->in_flight.find(resp.id);
-          if (it == w->in_flight.end()) continue;  // stale after redispatch
-          done.push_back(Done{std::move(it->second), resp,
-                              std::move(payload), std::move(error)});
-          w->in_flight.erase(it);
-          payload.clear();
-          error.clear();
-        }
-      }
+      for (auto& w : workers_) collect(*w, &done);
 
       // 2. Round-robin the admission queue onto workers with ring space.
       while (!queue_.empty() && !workers_.empty()) {
@@ -417,28 +453,7 @@ void Ingress::dispatch_loop() {
     if (idle_now) drain_cv_.notify_all();
 
     // 3. Deliver outside the lock: socket writes must not stall dispatch.
-    for (Done& d : done) {
-      const auto now = std::chrono::steady_clock::now();
-      const double total = ms_between(d.job.accepted, now);
-      const double queued = ms_between(d.job.accepted, d.job.dispatched);
-      if (d.hdr.status == 0) {
-        InferResult result;
-        result.id = d.job.client_id;
-        result.pred = Tensor::from_data(
-            tensor::Shape{d.hdr.s, d.hdr.d}, std::move(d.payload));
-        const std::vector<std::uint8_t> bytes = encode_result(result);
-        std::lock_guard<std::mutex> lock(d.job.conn->write_mu);
-        if (d.job.conn->fd >= 0)
-          write_frame(d.job.conn->fd, MsgType::kResult, bytes);
-      } else {
-        send_error(d.job.conn, d.job.client_id,
-                   static_cast<ErrorCode>(d.hdr.status), d.error);
-      }
-      metrics_.record_request(total, queued);
-      metrics_.record_batch(1, total - queued);
-      metrics_.mark_window(now_ms());
-      counters_.complete();
-    }
+    for (Done& d : done) deliver(d);
     if (!done.empty()) {
       std::lock_guard<std::mutex> lock(mu_);
       undelivered_ -= done.size();
@@ -452,35 +467,12 @@ void Ingress::dispatch_loop() {
 // ---------------------------------------------------------------------------
 
 void Ingress::fail_over(std::unique_ptr<Worker> dead, bool count_restart) {
-  // Deliver anything the worker answered before dying, then requeue the
-  // rest at the FRONT (their latency budget is already spent).
-  RingResponse resp;
-  std::vector<float> payload;
-  std::string error;
-  while (dead->ring->try_pop_response(&resp, &payload, &error)) {
-    auto it = dead->in_flight.find(resp.id);
-    if (it == dead->in_flight.end()) continue;
-    // Deliver inline: this is the rare path (worker death), contention
-    // with the dispatch thread is irrelevant.
-    Job& job = it->second;
-    if (resp.status == 0) {
-      InferResult result;
-      result.id = job.client_id;
-      result.pred =
-          Tensor::from_data(tensor::Shape{resp.s, resp.d}, payload);
-      const std::vector<std::uint8_t> bytes = encode_result(result);
-      std::lock_guard<std::mutex> wlock(job.conn->write_mu);
-      if (job.conn->fd >= 0)
-        write_frame(job.conn->fd, MsgType::kResult, bytes);
-    } else {
-      send_error(job.conn, job.client_id,
-                 static_cast<ErrorCode>(resp.status), error);
-    }
-    metrics_.record_request(
-        ms_between(job.accepted, std::chrono::steady_clock::now()), 0.0);
-    counters_.complete();
-    dead->in_flight.erase(it);
-  }
+  // Deliver anything the worker answered before dying (inline: worker
+  // death is the rare path), then requeue the rest at the FRONT (their
+  // latency budget is already spent).
+  std::vector<Done> answered;
+  collect(*dead, &answered);
+  for (Done& d : answered) deliver(d);
 
   std::vector<Job> orphans;
   orphans.reserve(dead->in_flight.size());

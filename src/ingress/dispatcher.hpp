@@ -5,9 +5,10 @@
 //     rings --> completion --> client sockets
 //
 // Process isolation is the point: each worker is a separate OS process
-// (posix_spawn of the dchag_ingress_worker binary) serving a
-// serve::Engine behind its ring, so a crashing forward kills one worker,
-// never the fleet. The dispatcher:
+// (posix_spawn of the dchag_ingress_worker binary) whose ring feeds a
+// serve::Server, so a crashing forward kills one worker, never the fleet.
+// Request execution (batching, errors, no-grad) lives in serve::; the
+// dispatcher is transport plus health:
 //
 //   * admits or type-rejects requests (bounded queue; kSaturated when
 //     full, kShuttingDown while draining) — backpressure is explicit,
@@ -146,9 +147,22 @@ class Ingress {
   void dispatch_loop();
   void monitor_loop();
 
+  /// A worker's answer to one job, popped off its response ring.
+  struct Done {
+    Job job;
+    RingResponse hdr;
+    std::vector<float> payload;
+    std::string error;
+  };
+
   void handle_infer(const std::shared_ptr<Conn>& conn, const Frame& frame);
   void send_error(const std::shared_ptr<Conn>& conn, std::uint64_t id,
                   ErrorCode code, const std::string& message);
+  /// Moves every answered job off `w`'s response ring into `done`.
+  void collect(Worker& w, std::vector<Done>* done);
+  /// The one delivery path: writes the result or error to the job's
+  /// client, records its latency and counts the completion.
+  void deliver(Done& d);
 
   [[nodiscard]] std::unique_ptr<Worker> spawn_worker();
   /// Requeues a dead worker's in-flight jobs and reaps its segment.

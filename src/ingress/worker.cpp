@@ -5,13 +5,13 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <string_view>
 #include <thread>
 
 #include "ingress/shm_ring.hpp"
 #include "runtime/context.hpp"
-#include "serve/engine.hpp"
-#include "tensor/autograd.hpp"
+#include "serve/server.hpp"
 #include "train/checkpoint.hpp"
 
 namespace dchag::ingress {
@@ -72,15 +72,48 @@ std::unique_ptr<model::ForecastModel> build_model(const ModelSpec& spec,
 
 namespace {
 
-/// Pushes a response, waiting out a full ring (the dispatcher drains it
-/// continuously; a persistently full ring means the dispatcher died, in
-/// which case the control word or a SIGKILL ends us anyway).
-void push_response_blocking(ShmRing& ring, const RingResponse& hdr,
-                            const float* payload, const char* error) {
-  while (!ring.try_push_response(hdr, payload, error)) {
-    ring.beat();
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+/// Ring poll period; also the longest wait on the oldest request's answer.
+constexpr std::chrono::microseconds kPoll{50};
+
+/// Submits one ring request to the server. A request the server refuses
+/// comes back as an already-failed future, so every request is answered
+/// through the same path.
+serve::ResponseFuture submit(serve::Server& server, const RingRequest& req,
+                             const std::vector<float>& payload) {
+  try {
+    return server.submit(serve::Request{
+        Tensor::from_data(tensor::Shape{req.c, req.h, req.w}, payload),
+        {req.channels, req.channels + req.n_channels}, req.lead_time});
+  } catch (...) {
+    std::promise<serve::Response> failed;
+    failed.set_exception(std::current_exception());
+    return failed.get_future();
   }
+}
+
+/// Pushes the answer to one resolved request: its prediction, or a
+/// kInternal error carrying the failure's message. `crash` is the injected
+/// fault: die with the request consumed and its answer lost.
+void answer(ShmRing& ring, std::uint64_t id, serve::ResponseFuture& future,
+            bool crash) {
+  RingResponse resp{.id = id};
+  Tensor pred;
+  std::string error;
+  try {
+    pred = future.get().pred;
+    DCHAG_CHECK(pred.numel() <= ring.max_payload_floats(),
+                "prediction exceeds ring slot budget");
+    resp.s = pred.dim(0);
+    resp.d = pred.dim(1);
+  } catch (const std::exception& e) {
+    resp.status = static_cast<std::uint32_t>(ErrorCode::kInternal);
+    error = e.what();
+    resp.error_bytes = static_cast<std::uint32_t>(error.size());
+  }
+  if (crash) ::_exit(42);
+  const float* data = resp.status == 0 ? pred.data() : nullptr;
+  while (!ring.try_push_response(resp, data, error.data()))
+    std::this_thread::sleep_for(kPoll);  // only a slow reader fills it
 }
 
 }  // namespace
@@ -96,8 +129,8 @@ int worker_main(int argc, char** argv) {
     const ModelSpec spec = ModelSpec::parse(argv[2]);
     const std::string checkpoint = argv[3];
     // Deterministic fault injection for the crash-recovery suites: die
-    // mid-request — after consuming request N but before its response —
-    // exactly where a real forward-pass crash loses the most state.
+    // with answer N computed but not pushed — request consumed, answer
+    // lost — exactly where a real forward-pass crash loses the most state.
     const auto crash_after =
         parse_decimal<std::uint64_t>(argv[4], 0, "crash-after");
 
@@ -113,54 +146,40 @@ int worker_main(int argc, char** argv) {
     auto model = build_model(spec, /*seed=*/1);
     if (!checkpoint.empty()) train::load_module(checkpoint, *model);
     serve::Engine engine(*model);
+    // One execution lane per process (the dispatcher scales processes).
+    // The ring bounds the batch, and the dispatcher's admission queue
+    // holds the backlog, so a batch never waits for lane-mates.
+    serve::Server server(
+        engine.inference_fn(),
+        {.num_workers = 1,
+         .batcher = {.max_batch = ring.slots(),
+                     .max_wait = std::chrono::microseconds{0}}});
+    server.start();
 
     ring.set_state(WorkerState::kReady);
-    std::uint64_t served = 0;
+    std::uint64_t answered = 0;
+    std::deque<std::pair<std::uint64_t, serve::ResponseFuture>> pending;
     RingRequest req;
     std::vector<float> payload;
-    autograd::NoGradGuard no_grad;
     for (;;) {
+      // Control before ring: every request pushed before kDrainStop is
+      // then visible to the pops below.
+      const bool stop = ring.control() == ControlWord::kDrainStop;
+      if (stop) ring.set_state(WorkerState::kDraining);
+      while (ring.try_pop_request(&req, &payload))
+        pending.emplace_back(req.id, submit(server, req, payload));
+      if (pending.empty()) {
+        if (stop) break;
+        std::this_thread::sleep_for(kPoll);
+      } else {
+        // No beat while the oldest request is unanswered: a hung forward
+        // stalls the heartbeat, and the monitor SIGKILLs this process.
+        auto& [id, future] = pending.front();
+        if (future.wait_for(kPoll) != std::future_status::ready) continue;
+        answer(ring, id, future, ++answered == crash_after);
+        pending.pop_front();
+      }
       ring.beat();
-      if (!ring.try_pop_request(&req, &payload)) {
-        if (ring.control() == ControlWord::kDrainStop) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        continue;
-      }
-      if (ring.control() == ControlWord::kDrainStop)
-        ring.set_state(WorkerState::kDraining);
-
-      ++served;
-      RingResponse resp;
-      resp.id = req.id;
-      try {
-        Tensor images = Tensor::from_data(
-            tensor::Shape{1, req.c, req.h, req.w}, std::move(payload));
-        std::vector<Index> channels(req.channels,
-                                    req.channels + req.n_channels);
-        Tensor pred = engine.run(images, channels, req.lead_time);
-        if (served == crash_after)
-          ::_exit(42);  // injected crash: request consumed, answer lost
-        Tensor row =
-            pred.reshape(tensor::Shape{pred.dim(1), pred.dim(2)});
-        resp.s = row.dim(0);
-        resp.d = row.dim(1);
-        if (static_cast<std::uint64_t>(row.numel()) >
-            ring.max_payload_floats()) {
-          resp.status = static_cast<std::uint32_t>(ErrorCode::kInternal);
-          const std::string msg = "prediction exceeds ring slot budget";
-          resp.error_bytes = static_cast<std::uint32_t>(msg.size());
-          push_response_blocking(ring, resp, nullptr, msg.data());
-        } else {
-          push_response_blocking(ring, resp, row.data(), nullptr);
-        }
-      } catch (const std::exception& e) {
-        // A per-request failure is an answer, not a worker death.
-        resp.status = static_cast<std::uint32_t>(ErrorCode::kInternal);
-        const std::string msg = e.what();
-        resp.error_bytes = static_cast<std::uint32_t>(msg.size());
-        push_response_blocking(ring, resp, nullptr, msg.data());
-      }
-      payload.clear();
     }
     ring.set_state(WorkerState::kStopped);
     ring.beat();

@@ -6,8 +6,14 @@
 //      Context::from_env() IS the context hand-off across the process
 //      boundary,
 //   2. reconstructs the model from the ModelSpec + checkpoint named on
-//      its command line, wraps it in a serve::Engine,
-//   3. serves its shared-memory request ring until told to drain.
+//      its command line and serves it through one serve::Server (one
+//      worker thread, max_batch = ring slots, max_wait 0) — the same
+//      batcher, metrics and error path as in-process serving,
+//   3. runs a thin ring adapter until told to drain: requests popped off
+//      the shared-memory ring go to Server::submit, resolved futures go
+//      back onto the response ring in request order. The heartbeat beats
+//      only while idle or right after an answer, never while the oldest
+//      request is still pending, so a hung forward stalls it.
 //
 // A crash anywhere in the forward kills only this process; the dispatcher
 // detects it through waitpid/heartbeat and re-dispatches the in-flight

@@ -137,6 +137,32 @@ TEST(RankFailure, RespawnedRankRejoinsWithoutRefiringItsDeath) {
   EXPECT_EQ(respawned_sum, 15.0f);
 }
 
+TEST(RankFailure, SurvivorGroupsReleaseTheLedgerAfterRun) {
+  // Recovery groups own the ledger that rendezvoused them; the ledger
+  // must not own them back, or both outlive the world.
+  FaultSpec s;
+  s.seed = 13;
+  RankDeathEvent death;
+  death.rank = 3;
+  death.at_op = 1;
+  s.deaths.push_back(death);
+  FaultyWorld world(4, s);
+  std::weak_ptr<const detail::FailureLedger> ledger;
+  world.run([&](Communicator& comm) {
+    if (comm.rank() == 0) {
+      ledger = comm.failure_ledger();
+      EXPECT_FALSE(ledger.expired());
+    }
+    drive_until_failure(comm);
+    if (comm.world_rank() == 3) return;
+    Communicator sub =
+        comm.split_survivors(comm.alive_world_ranks(), "degraded");
+    sub.barrier();
+  });
+  EXPECT_TRUE(ledger.expired())
+      << "a survivor group and the ledger keep each other alive";
+}
+
 TEST(RankFailure, DescribeIsAOneLineReproOfTheSchedule) {
   FaultSpec s;
   s.seed = 404;

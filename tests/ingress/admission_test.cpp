@@ -72,6 +72,40 @@ TEST(Admission, SaturationIsATypedRejectNeverAHangOrDrop) {
             static_cast<std::uint64_t>(saturated.load()));
 }
 
+TEST(Admission, MalformedChannelListsAreTypedBadRequests) {
+  TrainedModel trained;
+  IngressConfig cfg = testutil::base_config(trained);
+  cfg.min_workers = 1;
+  cfg.max_workers = 1;
+  Ingress ingress(cfg);
+
+  // Rejected at the door, before admission: no worker ever sees them.
+  Client client(ingress.port());
+  const auto expect_bad = [&](const std::vector<Index>& channels,
+                              Index slabs) {
+    try {
+      (void)client.infer(testutil::sample_image(77, slabs), channels);
+      ADD_FAILURE() << "accepted a malformed channel list";
+    } catch (const IngressError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << e.what();
+    }
+  };
+  expect_bad({2, 1}, 2);                    // not strictly increasing
+  expect_bad({0, testutil::kChannels}, 2);  // id past the model's channels
+  expect_bad({0, 2}, 3);                    // 2 ids for 3 image channels
+
+  // The connection stays usable: a well-formed subset is served exactly.
+  const Tensor images = testutil::sample_image(78, 2);
+  testutil::expect_bit_exact(client.infer(images, {0, 2}),
+                             trained.reference(images, {0, 2}));
+
+  ingress.drain();
+  const Counters::Snapshot c = ingress.counters();
+  EXPECT_EQ(c.rejected_bad, 3u);
+  EXPECT_EQ(c.worker_restarts, 0u);
+  EXPECT_EQ(c.accepted, 1u);
+}
+
 TEST(Admission, DrainingRejectsNewWorkAndFinishesAdmittedWork) {
   TrainedModel trained;
   IngressConfig cfg = testutil::base_config(trained);

@@ -33,7 +33,9 @@ inline ModelSpec tiny_spec() {
 
 /// The "trained" model (seed 7) plus its checkpoint file — workers are
 /// seeded differently (build_model's default seed 1), so a bit-exact
-/// served answer proves the checkpoint cold start, not luck.
+/// served answer proves the checkpoint cold start, not luck. The file is
+/// per process: suites running in parallel must not rewrite a checkpoint
+/// another suite's workers are loading.
 struct TrainedModel {
   std::unique_ptr<model::ForecastModel> model;
   serve::Engine engine;
@@ -42,12 +44,17 @@ struct TrainedModel {
   TrainedModel()
       : model(build_model(tiny_spec(), /*seed=*/7)),
         engine(*model),
-        checkpoint(::testing::TempDir() + "ingress_ckpt.bin") {
+        checkpoint(::testing::TempDir() + "ingress_ckpt_" +
+                   std::to_string(::getpid()) + ".bin") {
     train::save_module(checkpoint, *model);
   }
+  ~TrainedModel() { std::remove(checkpoint.c_str()); }
+  TrainedModel(const TrainedModel&) = delete;
+  TrainedModel& operator=(const TrainedModel&) = delete;
 
-  /// Reference prediction [S, D] for one sample, same path the worker
-  /// runs (Engine::run on a singleton batch).
+  /// Reference prediction [S, D] for one sample: Engine::run on a
+  /// singleton batch. Batching is result-transparent, so a worker's
+  /// answer matches it whatever batch the request rode in.
   [[nodiscard]] tensor::Tensor reference(
       const tensor::Tensor& images,
       const std::vector<tensor::Index>& channels = {},
