@@ -194,6 +194,8 @@ Ingress::Ingress(IngressConfig cfg, const runtime::Context& ctx)
 
 Ingress::~Ingress() { drain(); }
 
+Ingress::Conn::~Conn() { ::close(fd); }
+
 // ---------------------------------------------------------------------------
 // Introspection
 // ---------------------------------------------------------------------------
@@ -240,8 +242,7 @@ void Ingress::accept_loop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     counters_.connection();
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
+    auto conn = std::make_shared<Conn>(fd);
     {
       std::lock_guard<std::mutex> lock(mu_);
       conns_.push_back(conn);
@@ -257,14 +258,14 @@ void Ingress::send_error(const std::shared_ptr<Conn>& conn, std::uint64_t id,
   const std::vector<std::uint8_t> payload =
       encode_error(WireError{id, code, message});
   std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->fd >= 0) write_frame(conn->fd, MsgType::kError, payload);
+  write_frame(conn->fd, MsgType::kError, payload);
 }
 
 void Ingress::handle_infer(const std::shared_ptr<Conn>& conn,
-                           const Frame& frame) {
+                           std::vector<std::uint8_t> payload) {
   InferRequest req;
   try {
-    req = decode_infer(frame.payload.data(), frame.payload.size());
+    req = decode_infer(payload.data(), payload.size());
   } catch (const IngressError& e) {
     counters_.reject_bad();
     send_error(conn, 0, e.code(), e.what());
@@ -278,18 +279,12 @@ void Ingress::handle_infer(const std::shared_ptr<Conn>& conn,
     return;
   }
 
+  // The worker decodes the client's bytes itself; the ring only tags
+  // them with the ingress id.
   Job job;
   job.client_id = req.id;
   job.conn = conn;
-  job.hdr.lead_time = req.lead_time;
-  job.hdr.n_channels = static_cast<std::uint32_t>(req.channels.size());
-  for (std::size_t i = 0; i < req.channels.size(); ++i)
-    job.hdr.channels[i] = req.channels[i];
-  job.hdr.c = req.images.dim(0);
-  job.hdr.h = req.images.dim(1);
-  job.hdr.w = req.images.dim(2);
-  job.payload.assign(req.images.data(),
-                     req.images.data() + req.images.numel());
+  job.payload = std::move(payload);
   job.accepted = std::chrono::steady_clock::now();
 
   // Admission control: typed rejects, never silent drops and never an
@@ -306,7 +301,6 @@ void Ingress::handle_infer(const std::shared_ptr<Conn>& conn,
       reject = ErrorCode::kSaturated;
     } else {
       job.ingress_id = next_ingress_id_++;
-      job.hdr.id = job.ingress_id;
       queue_.push_back(std::move(job));
       counters_.accept();
       metrics_.observe_queue_depth(queue_.size());
@@ -335,23 +329,21 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
     if (!frame) break;  // EOF
     switch (frame->type) {
       case MsgType::kInfer:
-        handle_infer(conn, *frame);
+        handle_infer(conn, std::move(frame->payload));
         break;
       case MsgType::kMetricsQuery: {
         const std::string text = metrics_text();
         std::lock_guard<std::mutex> lock(conn->write_mu);
-        if (conn->fd >= 0)
-          write_frame(conn->fd, MsgType::kMetricsText,
-                      reinterpret_cast<const std::uint8_t*>(text.data()),
-                      text.size());
+        write_frame(conn->fd, MsgType::kMetricsText,
+                    reinterpret_cast<const std::uint8_t*>(text.data()),
+                    text.size());
         break;
       }
       case MsgType::kHealthQuery: {
         static constexpr char kOk[] = "ok";
         std::lock_guard<std::mutex> lock(conn->write_mu);
-        if (conn->fd >= 0)
-          write_frame(conn->fd, MsgType::kHealthOk,
-                      reinterpret_cast<const std::uint8_t*>(kOk), 2);
+        write_frame(conn->fd, MsgType::kHealthOk,
+                    reinterpret_cast<const std::uint8_t*>(kOk), 2);
         break;
       }
       default:
@@ -361,8 +353,8 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
         break;
     }
   }
-  // Leave fd open for in-flight responses of this connection; drain()
-  // closes every conn once all accepted work is answered.
+  // The fd stays open for in-flight responses of this connection; it
+  // closes with the last reference to the Conn.
 }
 
 // ---------------------------------------------------------------------------
@@ -371,8 +363,8 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
 
 void Ingress::collect(Worker& w, std::vector<Done>* done) {
   Done d;
-  while (w.ring->try_pop_response(&d.hdr, &d.payload, &d.error)) {
-    auto it = w.in_flight.find(d.hdr.id);
+  while (w.ring->try_pop_response(&d.answer)) {
+    auto it = w.in_flight.find(d.answer.id);
     if (it == w.in_flight.end()) continue;  // stale after redispatch
     d.job = std::move(it->second);
     w.in_flight.erase(it);
@@ -389,19 +381,21 @@ void Ingress::deliver(Done& d) {
   metrics_.record_batch(1, total - queued);
   metrics_.mark_window(now_ms());
   counters_.complete();
-  if (d.hdr.status == 0) {
-    InferResult result;
-    result.id = d.job.client_id;
-    result.pred =
-        Tensor::from_data(tensor::Shape{d.hdr.s, d.hdr.d}, d.payload);
-    const std::vector<std::uint8_t> bytes = encode_result(result);
+  const RingMessage& a = d.answer;
+  if (a.type == MsgType::kResult) {
+    // The worker echoed the client id it decoded from the client's bytes.
     std::lock_guard<std::mutex> lock(d.job.conn->write_mu);
-    if (d.job.conn->fd >= 0)
-      write_frame(d.job.conn->fd, MsgType::kResult, bytes);
-  } else {
-    send_error(d.job.conn, d.job.client_id,
-               static_cast<ErrorCode>(d.hdr.status), d.error);
+    write_frame(d.job.conn->fd, MsgType::kResult, a.payload);
+    return;
   }
+  WireError err{0, ErrorCode::kInternal, "malformed answer from worker"};
+  try {
+    if (a.type == MsgType::kError)
+      err = decode_error(a.payload.data(), a.payload.size());
+  } catch (const IngressError&) {
+    // Keep the kInternal fallback: the client still gets a typed answer.
+  }
+  send_error(d.job.conn, d.job.client_id, err.code, err.message);
 }
 
 void Ingress::dispatch_loop() {
@@ -424,8 +418,8 @@ void Ingress::dispatch_loop() {
           if (w.retiring || w.pid < 0) continue;
           if (w.in_flight.size() >= w.ring->slots()) continue;
           Job& job = queue_.front();
-          if (!w.ring->try_push_request(job.hdr, job.payload.data(),
-                                        job.payload.size()))
+          if (!w.ring->try_push_request(job.ingress_id, MsgType::kInfer,
+                                        job.payload))
             continue;
           job.dispatched = std::chrono::steady_clock::now();
           w.in_flight.emplace(job.ingress_id, std::move(job));
@@ -584,12 +578,12 @@ void Ingress::drain() {
     draining_ = true;
   }
   // Stop accepting connections; in-flight and queued work keeps going.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes the blocked accept(); the fd closes only after the
+  // accept thread is gone, so it never reads a closed or reused number.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
 
   // Every ACCEPTED request must be answered before teardown.
   {
@@ -632,20 +626,14 @@ void Ingress::drain() {
     w->ring->unlink();
   }
 
-  // Hang up on every client; connection threads unblock from recv.
+  // Hang up on every client: shutdown() unblocks the connection threads'
+  // recv, and each fd closes with its Conn once those threads are joined.
   std::vector<std::shared_ptr<Conn>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);
     conns.swap(conns_);
   }
-  for (auto& c : conns) {
-    std::lock_guard<std::mutex> lock(c->write_mu);
-    if (c->fd >= 0) {
-      ::shutdown(c->fd, SHUT_RDWR);
-      ::close(c->fd);
-      c->fd = -1;
-    }
-  }
+  for (auto& c : conns) ::shutdown(c->fd, SHUT_RDWR);
   std::vector<std::thread> conn_threads;
   {
     std::lock_guard<std::mutex> lock(conn_threads_mu_);

@@ -116,8 +116,15 @@ class Ingress {
   [[nodiscard]] std::string metrics_text() const;
 
  private:
+  /// One client connection. The fd stays open for the Conn's lifetime:
+  /// drain() only shuts it down, so a thread blocked reading it never sees
+  /// the number closed (and reused) under it.
   struct Conn {
-    int fd = -1;
+    explicit Conn(int fd) : fd(fd) {}
+    ~Conn();
+    Conn(const Conn&) = delete;
+    Conn& operator=(const Conn&) = delete;
+    const int fd;
     std::mutex write_mu;  ///< frames from dispatch + query paths interleave
   };
 
@@ -126,8 +133,7 @@ class Ingress {
     std::uint64_t ingress_id = 0;  ///< dispatcher-global ring id
     std::uint64_t client_id = 0;   ///< echoed back on the wire
     std::shared_ptr<Conn> conn;
-    RingRequest hdr;
-    std::vector<float> payload;
+    std::vector<std::uint8_t> payload;  ///< the client's kInfer payload
     std::chrono::steady_clock::time_point accepted;
     std::chrono::steady_clock::time_point dispatched;  ///< ring push time
   };
@@ -150,18 +156,17 @@ class Ingress {
   /// A worker's answer to one job, popped off its response ring.
   struct Done {
     Job job;
-    RingResponse hdr;
-    std::vector<float> payload;
-    std::string error;
+    RingMessage answer;  ///< kResult or kError payload
   };
 
-  void handle_infer(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  void handle_infer(const std::shared_ptr<Conn>& conn,
+                    std::vector<std::uint8_t> payload);
   void send_error(const std::shared_ptr<Conn>& conn, std::uint64_t id,
                   ErrorCode code, const std::string& message);
   /// Moves every answered job off `w`'s response ring into `done`.
   void collect(Worker& w, std::vector<Done>* done);
-  /// The one delivery path: writes the result or error to the job's
-  /// client, records its latency and counts the completion.
+  /// The one delivery path: writes the result (verbatim) or the error to
+  /// the job's client, records its latency and counts the completion.
   void deliver(Done& d);
 
   [[nodiscard]] std::unique_ptr<Worker> spawn_worker();

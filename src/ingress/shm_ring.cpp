@@ -16,8 +16,23 @@ namespace dchag::ingress {
 
 namespace {
 constexpr std::uint64_t kMagic = 0x44434841474E4731ull;  // "DCHAGNG1"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
+
+/// Fixed header in front of every slot's payload bytes.
+struct SlotHeader {
+  std::uint64_t id;
+  std::uint8_t type;  ///< MsgType
+  std::uint32_t length;
+};
+static_assert(sizeof(SlotHeader) == 16, "slot layout is part of kVersion");
 }  // namespace
+
+// One SPSC ring's counters, each on its own cache line: head is
+// producer-owned, tail consumer-owned.
+struct ShmRing::Lane {
+  alignas(64) std::atomic<std::uint64_t> head;
+  alignas(64) std::atomic<std::uint64_t> tail;
+};
 
 // The control block at the start of the segment. Cache-line alignment
 // keeps the producer- and consumer-owned counters off each other's lines.
@@ -26,49 +41,40 @@ struct alignas(64) ShmRing::Header {
   std::uint32_t version;
   std::uint32_t slots;
   std::uint32_t max_payload_floats;
-  std::uint32_t req_slot_bytes;
-  std::uint32_t resp_slot_bytes;
+  std::uint32_t slot_bytes;
   alignas(64) std::atomic<std::uint64_t> heartbeat;
   alignas(64) std::atomic<std::uint32_t> state;
   std::atomic<std::uint32_t> control;
-  alignas(64) std::atomic<std::uint64_t> req_head;   // dispatcher-owned
-  alignas(64) std::atomic<std::uint64_t> req_tail;   // worker-owned
-  alignas(64) std::atomic<std::uint64_t> resp_head;  // worker-owned
-  alignas(64) std::atomic<std::uint64_t> resp_tail;  // dispatcher-owned
+  Lane lanes[2];  ///< [kRequests], [kResponses]
 };
 
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
               "shm rings need lock-free 64-bit atomics");
 
+std::size_t ShmRing::slot_bytes(const RingConfig& cfg) {
+  return sizeof(SlotHeader) + kMaxWireHeaderBytes +
+         std::size_t(cfg.max_payload_floats) * 4;
+}
+
 std::size_t ShmRing::segment_bytes(const RingConfig& cfg) {
-  const std::size_t req_slot =
-      sizeof(RingRequest) + std::size_t(cfg.max_payload_floats) * 4;
-  const std::size_t resp_slot =
-      sizeof(RingResponse) + std::size_t(cfg.max_payload_floats) * 4;
-  return sizeof(Header) + cfg.slots * (req_slot + resp_slot);
+  return sizeof(Header) + 2 * std::size_t(cfg.slots) * slot_bytes(cfg);
 }
 
 ShmRing::Header* ShmRing::hdr() const {
   return static_cast<Header*>(map_);
 }
 
-std::uint8_t* ShmRing::req_slot(std::uint64_t seq) const {
-  Header* h = hdr();
-  std::uint8_t* base =
-      static_cast<std::uint8_t*>(map_) + sizeof(Header);
-  return base + (seq % h->slots) * h->req_slot_bytes;
-}
-
-std::uint8_t* ShmRing::resp_slot(std::uint64_t seq) const {
-  Header* h = hdr();
-  std::uint8_t* base = static_cast<std::uint8_t*>(map_) + sizeof(Header) +
-                       std::size_t(h->slots) * h->req_slot_bytes;
-  return base + (seq % h->slots) * h->resp_slot_bytes;
+std::uint8_t* ShmRing::slot(int lane, std::uint64_t seq) const {
+  const Header* h = hdr();
+  return static_cast<std::uint8_t*>(map_) + sizeof(Header) +
+         (lane * std::size_t(h->slots) + seq % h->slots) * h->slot_bytes;
 }
 
 ShmRing ShmRing::create(const std::string& name, RingConfig cfg) {
-  DCHAG_CHECK(cfg.slots >= 1 && cfg.max_payload_floats >= 1,
-              "ShmRing needs >= 1 slot and a nonzero payload budget");
+  DCHAG_CHECK(cfg.slots >= 1 && cfg.max_payload_floats >= 1 &&
+                  slot_bytes(cfg) <= UINT32_MAX,
+              "ShmRing needs >= 1 slot and a payload budget in [1, 2^30) "
+              "floats");
   const int fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
   DCHAG_CHECK(fd >= 0, "shm_open(" << name << ") failed: "
                                    << std::strerror(errno));
@@ -98,19 +104,16 @@ ShmRing ShmRing::create(const std::string& name, RingConfig cfg) {
   h->version = kVersion;
   h->slots = cfg.slots;
   h->max_payload_floats = cfg.max_payload_floats;
-  h->req_slot_bytes = static_cast<std::uint32_t>(
-      sizeof(RingRequest) + std::size_t(cfg.max_payload_floats) * 4);
-  h->resp_slot_bytes = static_cast<std::uint32_t>(
-      sizeof(RingResponse) + std::size_t(cfg.max_payload_floats) * 4);
+  h->slot_bytes = static_cast<std::uint32_t>(slot_bytes(cfg));
   h->heartbeat.store(0, std::memory_order_relaxed);
   h->state.store(static_cast<std::uint32_t>(WorkerState::kStarting),
                  std::memory_order_relaxed);
   h->control.store(static_cast<std::uint32_t>(ControlWord::kRun),
                    std::memory_order_relaxed);
-  h->req_head.store(0, std::memory_order_relaxed);
-  h->req_tail.store(0, std::memory_order_relaxed);
-  h->resp_head.store(0, std::memory_order_relaxed);
-  h->resp_tail.store(0, std::memory_order_relaxed);
+  for (Lane& lane : h->lanes) {
+    lane.head.store(0, std::memory_order_relaxed);
+    lane.tail.store(0, std::memory_order_relaxed);
+  }
   // Publish the magic last: an opener that sees it sees a full header.
   std::atomic_thread_fence(std::memory_order_release);
   h->magic = kMagic;
@@ -142,8 +145,9 @@ ShmRing ShmRing::open(const std::string& name) {
   DCHAG_CHECK(h->magic == kMagic && h->version == kVersion,
               "shm segment " << name << " has wrong magic/version");
   std::atomic_thread_fence(std::memory_order_acquire);
-  DCHAG_CHECK(segment_bytes(RingConfig{h->slots, h->max_payload_floats}) <=
-                  bytes,
+  const RingConfig geometry{h->slots, h->max_payload_floats};
+  DCHAG_CHECK(h->slot_bytes == slot_bytes(geometry) &&
+                  segment_bytes(geometry) <= bytes,
               "shm segment " << name << " smaller than its own geometry");
   return ring;
 }
@@ -172,92 +176,43 @@ void ShmRing::unlink() {
   if (!name_.empty()) ::shm_unlink(name_.c_str());
 }
 
-bool ShmRing::try_push_request(const RingRequest& hdr_in,
-                               const float* payload,
-                               std::size_t n_payload) {
-  Header* h = hdr();
-  DCHAG_CHECK(n_payload <= h->max_payload_floats,
-              "request payload " << n_payload << " floats exceeds slot "
-                                 << "budget " << h->max_payload_floats);
-  const std::uint64_t head = h->req_head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = h->req_tail.load(std::memory_order_acquire);
-  if (head - tail >= h->slots) return false;  // full
-  std::uint8_t* slot = req_slot(head);
-  std::memcpy(slot, &hdr_in, sizeof(RingRequest));
-  if (n_payload > 0)
-    std::memcpy(slot + sizeof(RingRequest), payload, n_payload * 4);
-  h->req_head.store(head + 1, std::memory_order_release);
+bool ShmRing::try_push(int lane, std::uint64_t id, MsgType type,
+                       const std::vector<std::uint8_t>& payload) {
+  DCHAG_CHECK(payload.size() <= max_message_bytes(),
+              "ring message of " << payload.size() << " bytes exceeds the "
+                                 << max_message_bytes() << "-byte slot");
+  Lane& l = hdr()->lanes[lane];
+  const std::uint64_t head = l.head.load(std::memory_order_relaxed);
+  const std::uint64_t tail = l.tail.load(std::memory_order_acquire);
+  if (head - tail >= hdr()->slots) return false;  // full
+  std::uint8_t* s = slot(lane, head);
+  const SlotHeader sh{id, static_cast<std::uint8_t>(type),
+                      static_cast<std::uint32_t>(payload.size())};
+  std::memcpy(s, &sh, sizeof(sh));
+  if (!payload.empty())
+    std::memcpy(s + sizeof(sh), payload.data(), payload.size());
+  l.head.store(head + 1, std::memory_order_release);
   return true;
 }
 
-bool ShmRing::try_pop_request(RingRequest* out,
-                              std::vector<float>* payload) {
-  Header* h = hdr();
-  const std::uint64_t tail = h->req_tail.load(std::memory_order_relaxed);
-  const std::uint64_t head = h->req_head.load(std::memory_order_acquire);
+bool ShmRing::try_pop(int lane, RingMessage* out) {
+  Lane& l = hdr()->lanes[lane];
+  const std::uint64_t tail = l.tail.load(std::memory_order_relaxed);
+  const std::uint64_t head = l.head.load(std::memory_order_acquire);
   if (tail == head) return false;  // empty
-  const std::uint8_t* slot = req_slot(tail);
-  std::memcpy(out, slot, sizeof(RingRequest));
-  const std::size_t n = static_cast<std::size_t>(out->c) *
-                        static_cast<std::size_t>(out->h) *
-                        static_cast<std::size_t>(out->w);
-  DCHAG_CHECK(n <= h->max_payload_floats,
-              "ring request claims " << n << " floats > slot budget");
-  payload->resize(n);
-  if (n > 0) std::memcpy(payload->data(), slot + sizeof(RingRequest), n * 4);
-  h->req_tail.store(tail + 1, std::memory_order_release);
-  return true;
-}
-
-bool ShmRing::try_push_response(const RingResponse& hdr_in,
-                                const float* payload,
-                                const char* error_bytes) {
-  Header* h = hdr();
-  const std::uint64_t head = h->resp_head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = h->resp_tail.load(std::memory_order_acquire);
-  if (head - tail >= h->slots) return false;  // full
-  std::uint8_t* slot = resp_slot(head);
-  std::memcpy(slot, &hdr_in, sizeof(RingResponse));
-  if (hdr_in.status == 0) {
-    const std::size_t n = static_cast<std::size_t>(hdr_in.s) *
-                          static_cast<std::size_t>(hdr_in.d);
-    DCHAG_CHECK(n <= h->max_payload_floats,
-                "response payload " << n << " floats exceeds slot budget");
-    if (n > 0) std::memcpy(slot + sizeof(RingResponse), payload, n * 4);
-  } else if (hdr_in.error_bytes > 0) {
-    DCHAG_CHECK(hdr_in.error_bytes <= h->max_payload_floats * 4,
-                "error message exceeds slot budget");
-    std::memcpy(slot + sizeof(RingResponse), error_bytes,
-                hdr_in.error_bytes);
-  }
-  h->resp_head.store(head + 1, std::memory_order_release);
-  return true;
-}
-
-bool ShmRing::try_pop_response(RingResponse* out,
-                               std::vector<float>* payload,
-                               std::string* error) {
-  Header* h = hdr();
-  const std::uint64_t tail = h->resp_tail.load(std::memory_order_relaxed);
-  const std::uint64_t head = h->resp_head.load(std::memory_order_acquire);
-  if (tail == head) return false;  // empty
-  const std::uint8_t* slot = resp_slot(tail);
-  std::memcpy(out, slot, sizeof(RingResponse));
-  if (out->status == 0) {
-    const std::size_t n = static_cast<std::size_t>(out->s) *
-                          static_cast<std::size_t>(out->d);
-    DCHAG_CHECK(n <= h->max_payload_floats,
-                "ring response claims " << n << " floats > slot budget");
-    payload->resize(n);
-    if (n > 0)
-      std::memcpy(payload->data(), slot + sizeof(RingResponse), n * 4);
+  const std::uint8_t* s = slot(lane, tail);
+  SlotHeader sh;
+  std::memcpy(&sh, s, sizeof(sh));
+  out->id = sh.id;
+  if (sh.length <= max_message_bytes()) {
+    out->type = static_cast<MsgType>(sh.type);
+    out->payload.assign(s + sizeof(sh), s + sizeof(sh) + sh.length);
   } else {
-    const std::size_t n =
-        std::min<std::size_t>(out->error_bytes, h->max_payload_floats * 4);
-    error->assign(reinterpret_cast<const char*>(slot + sizeof(RingResponse)),
-                  n);
+    out->type = MsgType::kError;
+    out->payload = encode_error(
+        {sh.id, ErrorCode::kInternal, "ring slot length exceeds its budget"});
   }
-  h->resp_tail.store(tail + 1, std::memory_order_release);
+  l.tail.store(tail + 1, std::memory_order_release);
   return true;
 }
 
@@ -289,25 +244,10 @@ ControlWord ShmRing::control() const {
       hdr()->control.load(std::memory_order_acquire));
 }
 
-std::size_t ShmRing::request_backlog() const {
-  Header* h = hdr();
-  return static_cast<std::size_t>(
-      h->req_head.load(std::memory_order_acquire) -
-      h->req_tail.load(std::memory_order_acquire));
-}
-
-bool ShmRing::quiescent() const {
-  Header* h = hdr();
-  return h->req_head.load(std::memory_order_acquire) ==
-             h->req_tail.load(std::memory_order_acquire) &&
-         h->resp_head.load(std::memory_order_acquire) ==
-             h->resp_tail.load(std::memory_order_acquire);
-}
-
 std::uint32_t ShmRing::slots() const { return hdr()->slots; }
 
-std::uint32_t ShmRing::max_payload_floats() const {
-  return hdr()->max_payload_floats;
+std::size_t ShmRing::max_message_bytes() const {
+  return hdr()->slot_bytes - sizeof(SlotHeader);
 }
 
 std::string make_ring_name() {

@@ -13,15 +13,21 @@
 // rings, and respawn is "new segment, new generation". The dispatcher is
 // the creator/unlinker; the worker opens by name (passed via argv).
 //
-// Slots are fixed-size (header + max_payload_floats), so pushes never
-// allocate in shared memory and a torn writer cannot move another slot's
-// boundaries. Head/tail are monotonic counters; `head - tail` is the
-// occupancy and slot index is `counter % slots`.
+// The rings are a transport for opaque messages. A slot holds
+//
+//   u64 ring id | u8 MsgType | u32 length | payload[length]
+//
+// where the payload is a wire-codec payload (wire.hpp): kInfer requests,
+// kResult/kError answers. The ring never parses a payload; the consumer
+// decodes it with the same bounds-checked codec the socket uses. Slots are
+// fixed-size (header + max_message_bytes), so pushes never allocate in
+// shared memory and a torn writer cannot move another slot's boundaries.
+// Head/tail are monotonic counters; `head - tail` is the occupancy and
+// slot index is `counter % slots`.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,23 +53,12 @@ enum class ControlWord : std::uint32_t {
   kDrainStop = 1,  ///< finish queued requests, then exit(0)
 };
 
-/// Fixed-size request header copied into a slot; `n_payload` floats of
-/// image data follow immediately after.
-struct RingRequest {
-  std::uint64_t id = 0;  ///< dispatcher-global id (not the client id)
-  float lead_time = 1.0f;
-  std::uint32_t n_channels = 0;
-  std::int64_t channels[kMaxWireChannels] = {};
-  std::int64_t c = 0, h = 0, w = 0;  ///< sample shape [C, H, W]
-};
-
-/// Fixed-size response header; `s * d` floats (ok) or `error_bytes` chars
-/// (error) follow.
-struct RingResponse {
+/// One ring message: a wire-codec payload tagged with its type and the
+/// dispatcher's ring id (not the client id inside the payload).
+struct RingMessage {
   std::uint64_t id = 0;
-  std::uint32_t status = 0;  ///< 0 = ok, else an ErrorCode
-  std::uint32_t error_bytes = 0;
-  std::int64_t s = 0, d = 0;  ///< prediction shape [S, D]
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
 };
 
 class ShmRing {
@@ -88,17 +83,21 @@ class ShmRing {
 
   // --- dispatcher side -----------------------------------------------------
   /// False when the request ring is full (caller keeps the job queued).
-  bool try_push_request(const RingRequest& hdr, const float* payload,
-                        std::size_t n_payload);
-  /// Pops one worker response; false when none pending. On status != 0,
-  /// `error` receives the message and `payload` is untouched.
-  bool try_pop_response(RingResponse* hdr, std::vector<float>* payload,
-                        std::string* error);
+  bool try_push_request(std::uint64_t id, MsgType type,
+                        const std::vector<std::uint8_t>& payload) {
+    return try_push(kRequests, id, type, payload);
+  }
+  /// Pops one worker answer; false when none pending.
+  bool try_pop_response(RingMessage* out) {
+    return try_pop(kResponses, out);
+  }
 
   // --- worker side ---------------------------------------------------------
-  bool try_pop_request(RingRequest* hdr, std::vector<float>* payload);
-  bool try_push_response(const RingResponse& hdr, const float* payload,
-                         const char* error_bytes);
+  bool try_pop_request(RingMessage* out) { return try_pop(kRequests, out); }
+  bool try_push_response(std::uint64_t id, MsgType type,
+                         const std::vector<std::uint8_t>& payload) {
+    return try_push(kResponses, id, type, payload);
+  }
 
   // --- liveness / control --------------------------------------------------
   void beat();
@@ -108,23 +107,30 @@ class ShmRing {
   void set_control(ControlWord c);
   [[nodiscard]] ControlWord control() const;
 
-  /// Requests produced but not yet consumed by the worker.
-  [[nodiscard]] std::size_t request_backlog() const;
-  /// True when every pushed request has been consumed AND every response
-  /// has been popped — the worker-retirement precondition.
-  [[nodiscard]] bool quiescent() const;
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t slots() const;
-  [[nodiscard]] std::uint32_t max_payload_floats() const;
+  /// Largest payload one slot holds: RingConfig::max_payload_floats of
+  /// tensor data plus the wire header allowance (kMaxWireHeaderBytes).
+  [[nodiscard]] std::size_t max_message_bytes() const;
 
  private:
   ShmRing() = default;
   struct Header;
+  struct Lane;
+  static constexpr int kRequests = 0;   ///< dispatcher -> worker
+  static constexpr int kResponses = 1;  ///< worker -> dispatcher
+  [[nodiscard]] static std::size_t slot_bytes(const RingConfig& cfg);
   [[nodiscard]] static std::size_t segment_bytes(const RingConfig& cfg);
   [[nodiscard]] Header* hdr() const;
-  [[nodiscard]] std::uint8_t* req_slot(std::uint64_t seq) const;
-  [[nodiscard]] std::uint8_t* resp_slot(std::uint64_t seq) const;
+  [[nodiscard]] std::uint8_t* slot(int lane, std::uint64_t seq) const;
+  /// The one producer body both directions share. Throws when the
+  /// payload exceeds max_message_bytes().
+  bool try_push(int lane, std::uint64_t id, MsgType type,
+                const std::vector<std::uint8_t>& payload);
+  /// The one consumer body both directions share. A slot whose length
+  /// exceeds the budget pops as a kInternal kError payload, so even a
+  /// corrupt producer leaves one typed answer per id.
+  bool try_pop(int lane, RingMessage* out);
 
   std::string name_;
   void* map_ = nullptr;

@@ -195,6 +195,8 @@ WireError decode_error(const std::uint8_t* data, std::size_t size) {
     throw IngressError(ErrorCode::kBadRequest, "unknown error code");
   e.code = static_cast<ErrorCode>(code);
   e.message = rd.str(rd.u32());
+  if (rd.left != 0)
+    throw IngressError(ErrorCode::kBadRequest, "trailing bytes in error");
   return e;
 }
 

@@ -1,6 +1,7 @@
 // Wire protocol of the ingress tier: length-prefixed binary frames over a
-// byte stream (TCP), plus the typed error surface shared by the socket
-// protocol and the shared-memory rings.
+// byte stream (TCP), plus the typed error surface. The payload codec is the
+// one request/answer format of the tier: the shared-memory rings carry the
+// same kInfer/kResult/kError payloads between dispatcher and workers.
 //
 // Frame layout (all integers little-endian):
 //
@@ -32,8 +33,14 @@ namespace dchag::ingress {
 using tensor::Index;
 using tensor::Tensor;
 
-/// Most channels one request may name; bounds the fixed-size ring slots.
+/// Most channels one request may name.
 constexpr std::uint32_t kMaxWireChannels = 64;
+
+/// Largest non-tensor part of a kInfer or kResult payload: ids, lead time,
+/// a full channel list and three dims. A transport that budgets tensor
+/// floats adds this allowance for the rest of the message.
+constexpr std::size_t kMaxWireHeaderBytes =
+    8 + 4 + 4 + 8 * std::size_t{kMaxWireChannels} + 3 * 8;
 
 enum class MsgType : std::uint8_t {
   kInfer = 1,

@@ -75,44 +75,56 @@ namespace {
 /// Ring poll period; also the longest wait on the oldest request's answer.
 constexpr std::chrono::microseconds kPoll{50};
 
-/// Submits one ring request to the server. A request the server refuses
-/// comes back as an already-failed future, so every request is answered
-/// through the same path.
-serve::ResponseFuture submit(serve::Server& server, const RingRequest& req,
-                             const std::vector<float>& payload) {
+/// One request inside the worker: its ring id, the client id its payload
+/// carried (echoed in the answer), and the server's future.
+struct Pending {
+  std::uint64_t ring_id = 0;
+  std::uint64_t client_id = 0;
+  serve::ResponseFuture future;
+};
+
+/// Decodes one ring message with the wire codec and submits it to the
+/// server. A message that does not decode, or a request the server
+/// refuses, comes back as an already-failed future, so every request is
+/// answered through the same path.
+Pending submit(serve::Server& server, const RingMessage& msg) {
+  Pending p;
+  p.ring_id = msg.id;
   try {
-    return server.submit(serve::Request{
-        Tensor::from_data(tensor::Shape{req.c, req.h, req.w}, payload),
-        {req.channels, req.channels + req.n_channels}, req.lead_time});
+    DCHAG_CHECK(msg.type == MsgType::kInfer,
+                "ring message of type " << int(msg.type) << " is no request");
+    InferRequest req = decode_infer(msg.payload.data(), msg.payload.size());
+    p.client_id = req.id;
+    p.future = server.submit(serve::Request{
+        std::move(req.images), std::move(req.channels), req.lead_time});
   } catch (...) {
     std::promise<serve::Response> failed;
     failed.set_exception(std::current_exception());
-    return failed.get_future();
+    p.future = failed.get_future();
   }
+  return p;
 }
 
-/// Pushes the answer to one resolved request: its prediction, or a
-/// kInternal error carrying the failure's message. `crash` is the injected
-/// fault: die with the request consumed and its answer lost.
-void answer(ShmRing& ring, std::uint64_t id, serve::ResponseFuture& future,
-            bool crash) {
-  RingResponse resp{.id = id};
-  Tensor pred;
-  std::string error;
+/// Pushes the answer to one resolved request: a kResult payload, or a
+/// kInternal kError carrying the failure's message (cut to fit the slot).
+/// `crash` is the injected fault: die with the request consumed and its
+/// answer lost.
+void answer(ShmRing& ring, Pending& p, bool crash) {
+  MsgType type = MsgType::kResult;
+  std::vector<std::uint8_t> bytes;
   try {
-    pred = future.get().pred;
-    DCHAG_CHECK(pred.numel() <= ring.max_payload_floats(),
+    bytes = encode_result({p.client_id, p.future.get().pred});
+    DCHAG_CHECK(bytes.size() <= ring.max_message_bytes(),
                 "prediction exceeds ring slot budget");
-    resp.s = pred.dim(0);
-    resp.d = pred.dim(1);
   } catch (const std::exception& e) {
-    resp.status = static_cast<std::uint32_t>(ErrorCode::kInternal);
-    error = e.what();
-    resp.error_bytes = static_cast<std::uint32_t>(error.size());
+    type = MsgType::kError;
+    // 16 bytes of id, code and length precede the message.
+    bytes = encode_error({p.client_id, ErrorCode::kInternal,
+                          std::string(e.what()).substr(
+                              0, ring.max_message_bytes() - 16)});
   }
   if (crash) ::_exit(42);
-  const float* data = resp.status == 0 ? pred.data() : nullptr;
-  while (!ring.try_push_response(resp, data, error.data()))
+  while (!ring.try_push_response(p.ring_id, type, bytes))
     std::this_thread::sleep_for(kPoll);  // only a slow reader fills it
 }
 
@@ -158,25 +170,25 @@ int worker_main(int argc, char** argv) {
 
     ring.set_state(WorkerState::kReady);
     std::uint64_t answered = 0;
-    std::deque<std::pair<std::uint64_t, serve::ResponseFuture>> pending;
-    RingRequest req;
-    std::vector<float> payload;
+    std::deque<Pending> pending;
+    RingMessage msg;
     for (;;) {
       // Control before ring: every request pushed before kDrainStop is
       // then visible to the pops below.
       const bool stop = ring.control() == ControlWord::kDrainStop;
       if (stop) ring.set_state(WorkerState::kDraining);
-      while (ring.try_pop_request(&req, &payload))
-        pending.emplace_back(req.id, submit(server, req, payload));
+      while (ring.try_pop_request(&msg))
+        pending.push_back(submit(server, msg));
       if (pending.empty()) {
         if (stop) break;
         std::this_thread::sleep_for(kPoll);
       } else {
         // No beat while the oldest request is unanswered: a hung forward
         // stalls the heartbeat, and the monitor SIGKILLs this process.
-        auto& [id, future] = pending.front();
-        if (future.wait_for(kPoll) != std::future_status::ready) continue;
-        answer(ring, id, future, ++answered == crash_after);
+        Pending& oldest = pending.front();
+        if (oldest.future.wait_for(kPoll) != std::future_status::ready)
+          continue;
+        answer(ring, oldest, ++answered == crash_after);
         pending.pop_front();
       }
       ring.beat();

@@ -9,11 +9,15 @@
 //      its command line and serves it through one serve::Server (one
 //      worker thread, max_batch = ring slots, max_wait 0) — the same
 //      batcher, metrics and error path as in-process serving,
-//   3. runs a thin ring adapter until told to drain: requests popped off
-//      the shared-memory ring go to Server::submit, resolved futures go
-//      back onto the response ring in request order. The heartbeat beats
-//      only while idle or right after an answer, never while the oldest
-//      request is still pending, so a hung forward stalls it.
+//   3. runs a thin ring adapter until told to drain: each kInfer payload
+//      popped off the shared-memory ring (the client's own wire bytes) is
+//      decoded with the wire codec's decode_infer and goes to
+//      Server::submit; resolved futures go back onto the response ring in
+//      request order as encode_result payloads echoing the client id, or
+//      as encode_error kInternal payloads (an undecodable request
+//      included). The heartbeat beats only while idle or right after an
+//      answer, never while the oldest request is still pending, so a hung
+//      forward stalls it.
 //
 // A crash anywhere in the forward kills only this process; the dispatcher
 // detects it through waitpid/heartbeat and re-dispatches the in-flight
