@@ -247,10 +247,28 @@ void Ingress::accept_loop() {
       std::lock_guard<std::mutex> lock(mu_);
       conns_.push_back(conn);
     }
+    join_finished_connections();
     std::lock_guard<std::mutex> lock(conn_threads_mu_);
     conn_threads_.emplace_back(
         [this, conn] { connection_loop(std::move(conn)); });
   }
+}
+
+void Ingress::join_finished_connections() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_threads_mu_);
+    for (const std::thread::id id : finished_conn_threads_) {
+      auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      finished.push_back(std::move(*it));
+      conn_threads_.erase(it);
+    }
+    finished_conn_threads_.clear();
+  }
+  // Each of these has left connection_loop; join waits out only its return.
+  for (std::thread& t : finished) t.join();
 }
 
 void Ingress::send_error(const std::shared_ptr<Conn>& conn, std::uint64_t id,
@@ -353,8 +371,15 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
         break;
     }
   }
-  // The fd stays open for in-flight responses of this connection; it
-  // closes with the last reference to the Conn.
+  // Forget the connection. The fd stays open for its in-flight responses
+  // and closes with the last reference to the Conn; no thread reads it
+  // any more. The accept loop joins this thread at its next accept.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase(conns_, conn);
+  }
+  std::lock_guard<std::mutex> lock(conn_threads_mu_);
+  finished_conn_threads_.push_back(std::this_thread::get_id());
 }
 
 // ---------------------------------------------------------------------------

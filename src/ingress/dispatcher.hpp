@@ -149,6 +149,8 @@ class Ingress {
   };
 
   void accept_loop();
+  /// Joins the connection threads whose client hung up.
+  void join_finished_connections();
   void connection_loop(std::shared_ptr<Conn> conn);
   void dispatch_loop();
   void monitor_loop();
@@ -203,7 +205,9 @@ class Ingress {
   std::thread dispatch_thread_;
   std::thread monitor_thread_;
   std::vector<std::thread> conn_threads_;
-  std::mutex conn_threads_mu_;
+  /// Connection threads that left connection_loop, not yet joined.
+  std::vector<std::thread::id> finished_conn_threads_;
+  std::mutex conn_threads_mu_;  ///< guards conn_threads_ and the list above
 };
 
 }  // namespace dchag::ingress

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/dchag_frontend.hpp"
-#include "tensor/ops.hpp"
 #include "train/checkpoint.hpp"
 
 namespace dchag::serve {
@@ -211,50 +210,23 @@ void SpmdEngine::execute_job(comm::Communicator& comm,
                                         job.lead_time);
     } else {
       // Degraded survivor group: serve from the surviving channels. The
-      // head still predicts every target channel, so the output shape is
-      // unchanged, and the subset forward's arithmetic is identical to a
-      // healthy world's forward over the same channel subset.
+      // subset forward keeps only the representations of slots a survivor
+      // carries, so it already drops lost channels; its arithmetic is a
+      // healthy world's forward over the surviving subset. The head still
+      // predicts every target channel, so the output shape is unchanged.
+      const std::vector<int>& slots = fe->logical_slots();
       const Index c_local = fe->local_channels();
-      std::vector<Index> surviving;
-      surviving.reserve(fe->logical_slots().size() *
-                        static_cast<std::size_t>(c_local));
-      for (int slot : fe->logical_slots())
-        for (Index c = 0; c < c_local; ++c)
-          surviving.push_back(static_cast<Index>(slot) * c_local + c);
-      if (job.channels->empty()) {
-        // Full-channel request: slice the survivors' slots out of the
-        // full batch and run the subset path over all of them.
-        std::vector<Tensor> slabs;
-        slabs.reserve(fe->logical_slots().size());
-        for (int slot : fe->logical_slots())
-          slabs.push_back(tensor::ops::slice(
-              *job.images, 1, static_cast<Index>(slot) * c_local, c_local));
-        const Tensor sub = slabs.size() == 1 ? slabs.front()
-                                             : tensor::ops::concat(slabs, 1);
-        pred = model.predict_subset(sub, surviving, job.lead_time);
-        degraded_answer = true;
-      } else {
-        // Subset request: serve the surviving intersection.
-        std::vector<Index> inter;
-        std::vector<Index> cols;  // positions within the request batch
-        for (std::size_t i = 0; i < job.channels->size(); ++i) {
-          const Index c = (*job.channels)[i];
-          if (std::binary_search(surviving.begin(), surviving.end(), c)) {
-            inter.push_back(c);
-            cols.push_back(static_cast<Index>(i));
-          }
-        }
-        DCHAG_CHECK(!inter.empty(),
-                    "degraded world: no requested channel survives");
-        degraded_answer = inter.size() < job.channels->size();
-        std::vector<Tensor> slabs;
-        slabs.reserve(cols.size());
-        for (Index i : cols)
-          slabs.push_back(tensor::ops::slice(*job.images, 1, i, 1));
-        const Tensor sub = slabs.size() == 1 ? slabs.front()
-                                             : tensor::ops::concat(slabs, 1);
-        pred = model.predict_subset(sub, inter, job.lead_time);
+      std::vector<Index> channels = *job.channels;
+      if (channels.empty()) {  // full request: every id, lost ones dropped
+        channels.resize(static_cast<std::size_t>(fe->total_channels()));
+        std::iota(channels.begin(), channels.end(), Index{0});
       }
+      degraded_answer = std::any_of(
+          channels.begin(), channels.end(), [&](Index c) {
+            return !std::binary_search(slots.begin(), slots.end(),
+                                       static_cast<int>(c / c_local));
+          });
+      pred = model.predict_subset(*job.images, channels, job.lead_time);
     }
   } catch (const comm::RankFailure&) {
     throw;

@@ -1,7 +1,9 @@
-// The one place the "should this loop fan out?" policy lives: ops.cpp and
-// the model-layer data movers (patchify/unpatchify) all dispatch through
-// here, so backend gating, grain thresholds, and lane caps can never
-// drift between kernels.
+// The "should this loop fan out?" policy for elementwise, row and plane
+// loops: ops.cpp's elementwise/softmax/layernorm/sum_dim kernels and the
+// model-layer data movers (patchify/unpatchify) dispatch through here, so
+// backend gating, grain thresholds and lane caps never drift between
+// them. GEMMs fan out in ops.cpp's gemm_rows instead, at ~1 MFLOP row
+// strips.
 #pragma once
 
 #include "tensor/kernel_config.hpp"

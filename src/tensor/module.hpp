@@ -164,26 +164,13 @@ class Linear : public Module {
         bias_(register_param(name + ".bias", tensor::Tensor({out}, 0.0f))) {}
 
   [[nodiscard]] Variable forward(const Variable& x) const {
-    if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
-    }
+    if (fused_ready()) return fused(x, {});
     return add(matmul(x, weight_), bias_);
   }
 
   /// y = gelu(x W + b); the GELU rides the GEMM tail when frozen.
   [[nodiscard]] Variable forward_gelu(const Variable& x) const {
-    if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      epi.gelu = true;
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
-    }
+    if (fused_ready()) return fused(x, {.gelu = true});
     return gelu(forward(x));
   }
 
@@ -191,14 +178,7 @@ class Linear : public Module {
   /// frozen (bitwise-equal operand swap of a commutative float add).
   [[nodiscard]] Variable forward_residual(const Variable& x,
                                           const Variable& residual) const {
-    if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      epi.residual = &residual.value();
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
-    }
+    if (fused_ready()) return fused(x, {.residual = &residual.value()});
     return add(residual, forward(x));
   }
 
@@ -208,15 +188,10 @@ class Linear : public Module {
       const Variable& x, const Variable& residual, const Variable& gamma,
       const Variable& beta, float eps = 1e-5f) const {
     if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      epi.residual = &residual.value();
-      epi.ln_gamma = &gamma.value();
-      epi.ln_beta = &beta.value();
-      epi.ln_eps = eps;
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
+      return fused(x, {.residual = &residual.value(),
+                       .ln_gamma = &gamma.value(),
+                       .ln_beta = &beta.value(),
+                       .ln_eps = eps});
     }
     return layernorm(forward_residual(x, residual), gamma, beta, eps);
   }
@@ -234,6 +209,15 @@ class Linear : public Module {
   void on_unfreeze() override { packed_.reset(); }
 
  private:
+  /// The frozen tape-free forward: x W on the pre-packed panels with the
+  /// bias plus `epi`'s tail fused into the GEMM's row strips.
+  [[nodiscard]] Variable fused(const Variable& x,
+                               tensor::ops::LinearEpilogue epi) const {
+    epi.bias = &bias_.value();
+    return Variable::input(tensor::ops::linear_fused(
+        x.value(), weight_.value(), &*packed_, epi));
+  }
+
   /// True iff the tape-free pre-packed path applies; verifies the weight
   /// against its pack-time fingerprint first and fails loudly on drift.
   [[nodiscard]] bool fused_ready() const {

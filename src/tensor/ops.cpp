@@ -149,6 +149,115 @@ inline void ln_row(const float* row, float* yrow, Index D, const float* g,
   for (Index j = 0; j < D; ++j) yrow[j] = (row[j] - m) * rs * g[j] + b[j];
 }
 
+/// The row loop behind layernorm and layernorm_value; the per-row
+/// mean/rstd sinks are optional.
+void layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
+                    float eps, float* y, float* mean, float* rstd) {
+  const Index D = a.dim(-1);
+  DCHAG_CHECK(gamma.shape() == Shape{D} && beta.shape() == Shape{D},
+              "layernorm gamma/beta must be [" << D << "]");
+  const Index rows = a.numel() / D;
+  const float* p = a.data();
+  const float* g = gamma.data();
+  const float* b = beta.data();
+  dispatch_range(rows, std::max<Index>(1, kEwGrain / std::max<Index>(1, D)),
+                 [&](Index lo, Index hi) {
+                   for (Index i = lo; i < hi; ++i)
+                     ln_row(p + i * D, y + i * D, D, g, b, eps,
+                            mean != nullptr ? mean + i : nullptr,
+                            rstd != nullptr ? rstd + i : nullptr);
+                 });
+}
+
+/// Operand layout of one GEMM call: `batch` products C_b[M,N] += A_b[M,K] *
+/// B_b[K,N], each operand stored back to back. A B shared by the whole
+/// batch is one flat product (batch == 1, M == every A row).
+struct GemmDims {
+  Index batch = 1;
+  Index M = 0;
+  Index K = 0;
+  Index N = 0;
+};
+
+/// The shape checks every GEMM entry point shares: a is [*, M, K]; b is
+/// [*, K, N] with identical leading dims, or rank-2 [K, N] shared across
+/// the batch. `op` names the caller in error messages.
+GemmDims matmul_dims(const char* op, const Tensor& a, const Tensor& b) {
+  DCHAG_CHECK(a.rank() >= 2 && b.rank() >= 2,
+              op << " ranks " << a.rank() << ", " << b.rank());
+  const Index K = a.dim(-1);
+  DCHAG_CHECK(K == b.dim(-2), op << " inner dims " << a.shape().to_string()
+                                 << " x " << b.shape().to_string());
+  Index batch = 1;
+  for (Index d = 0; d < a.rank() - 2; ++d) batch *= a.dim(d);
+  if (b.rank() == 2) return {1, batch * a.dim(-2), K, b.dim(-1)};
+  DCHAG_CHECK(a.rank() == b.rank(), op << " batch rank mismatch");
+  for (Index d = 0; d < a.rank() - 2; ++d)
+    DCHAG_CHECK(a.dim(d) == b.dim(d), op << " batch dims "
+                                         << a.shape().to_string() << " x "
+                                         << b.shape().to_string());
+  return {batch, a.dim(-2), K, b.dim(-1)};
+}
+
+/// The one GEMM driver: C (zeroed) += A * B over the flattened
+/// [batch*M] row space on the active backend, then `epilogue(r0, r1)` on
+/// every finished row range. `packed` (matching a shared B) replaces the
+/// per-call pack_b on the blocked/parallel backends. Row splits never
+/// change any C element's accumulation order (gemm.hpp), so strips may
+/// cross batch edges and kBlocked and kParallel are bit-identical at every
+/// lane count.
+template <typename Epilogue>
+void gemm_rows(const GemmDims& d, const float* A, const float* B,
+               const gemm::PackedB* packed, float* C, Epilogue&& epilogue) {
+  const Index rows = d.batch * d.M;
+  const Index K = d.K;
+  const Index N = d.N;
+  const KernelConfig cfg = kernel_config();
+  if (cfg.backend == KernelBackend::kNaive) {
+    for (Index r = 0; r < rows; ++r) {
+      const float* arow = A + r * K;
+      const float* Bm = B + (r / d.M) * K * N;
+      float* crow = C + r * N;
+      for (Index k = 0; k < K; ++k) {
+        const float av = arow[k];
+        if (av == 0.0f) continue;
+        const float* brow = Bm + k * N;
+        for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
+      }
+    }
+    epilogue(Index{0}, rows);
+  } else {
+    auto run_rows = [&](Index r0, Index r1) {
+      for (Index r = r0; r < r1;) {
+        const Index bi = r / d.M;
+        const Index n = std::min(r1, (bi + 1) * d.M) - r;
+        if (packed != nullptr) {
+          gemm::gemm_blocked_prepacked(n, A + r * K, K, *packed, C + r * N,
+                                       N);
+        } else {
+          gemm::gemm_blocked(n, N, K, A + r * K, K, B + bi * K * N, N,
+                             C + r * N, N);
+        }
+        r += n;
+      }
+      epilogue(r0, r1);
+    };
+    // Aim for strips of >= ~1 MFLOP so fork/join stays in the noise.
+    const Index grain =
+        std::max<Index>(1, (1 << 20) / std::max<Index>(1, 2 * N * K));
+    if (cfg.backend == KernelBackend::kParallel) {
+      active_pool().parallel_for(rows, grain, run_rows, cfg.threads);
+    } else {
+      run_rows(0, rows);
+    }
+  }
+  g_flops.fetch_add(static_cast<std::uint64_t>(2) *
+                        static_cast<std::uint64_t>(rows) *
+                        static_cast<std::uint64_t>(N) *
+                        static_cast<std::uint64_t>(K),
+                    std::memory_order_relaxed);
+}
+
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -214,99 +323,24 @@ Tensor reduce_to_shape(const Tensor& t, const Shape& target) {
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  DCHAG_CHECK(a.rank() >= 2 && b.rank() >= 2,
-              "matmul ranks " << a.rank() << ", " << b.rank());
-  const Index M = a.dim(-2);
-  const Index K = a.dim(-1);
-  const Index Kb = b.dim(-2);
-  const Index N = b.dim(-1);
-  DCHAG_CHECK(K == Kb, "matmul inner dims " << a.shape().to_string() << " x "
-                                            << b.shape().to_string());
-  const bool shared_b = b.rank() == 2 && a.rank() > 2;
-  Index batch = 1;
-  for (Index d = 0; d < a.rank() - 2; ++d) batch *= a.dim(d);
-  if (!shared_b) {
-    DCHAG_CHECK(a.rank() == b.rank(), "matmul batch rank mismatch");
-    for (Index d = 0; d < a.rank() - 2; ++d)
-      DCHAG_CHECK(a.dim(d) == b.dim(d), "matmul batch dims "
-                                            << a.shape().to_string() << " x "
-                                            << b.shape().to_string());
-  }
-  auto out_dims = a.shape().dims();
-  out_dims.back() = N;
-  Tensor out(Shape(std::move(out_dims)));
-
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const KernelConfig cfg = kernel_config();
-  if (cfg.backend == KernelBackend::kNaive) {
-    for (Index bi = 0; bi < batch; ++bi) {
-      const float* A = pa + bi * M * K;
-      const float* B = pb + (shared_b ? 0 : bi * K * N);
-      float* C = po + bi * M * N;
-      for (Index i = 0; i < M; ++i) {
-        float* crow = C + i * N;
-        for (Index k = 0; k < K; ++k) {
-          const float av = A[i * K + k];
-          if (av == 0.0f) continue;
-          const float* brow = B + k * N;
-          for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  } else {
-    // Blocked GEMM over row strips of the flattened [batch*M] row space.
-    // Strip boundaries never change any C element's accumulation order,
-    // so kBlocked and kParallel are bit-identical at every lane count.
-    auto run_rows = [&](Index r0, Index r1) {
-      while (r0 < r1) {
-        const Index bi = r0 / M;
-        const Index i0 = r0 - bi * M;
-        const Index rows = std::min(r1 - r0, M - i0);
-        gemm::gemm_blocked(rows, N, K, pa + (bi * M + i0) * K, K,
-                           pb + (shared_b ? 0 : bi * K * N), N,
-                           po + (bi * M + i0) * N, N);
-        r0 += rows;
-      }
-    };
-    // Aim for strips of >= ~1 MFLOP so fork/join stays in the noise.
-    const Index flops_per_row = 2 * N * K;
-    const Index grain =
-        std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_row));
-    if (cfg.backend == KernelBackend::kParallel) {
-      active_pool().parallel_for(batch * M, grain, run_rows, cfg.threads);
-    } else {
-      run_rows(0, batch * M);
-    }
-  }
-  g_flops.fetch_add(
-      static_cast<std::uint64_t>(2) * static_cast<std::uint64_t>(batch) *
-          static_cast<std::uint64_t>(M) * static_cast<std::uint64_t>(N) *
-          static_cast<std::uint64_t>(K),
-      std::memory_order_relaxed);
+  const GemmDims d = matmul_dims("matmul", a, b);
+  Tensor out(a.shape().with_dim(-1, d.N));
+  gemm_rows(d, a.data(), b.data(), nullptr, out.data(), [](Index, Index) {});
   return out;
 }
 
 Tensor linear_fused(const Tensor& x, const Tensor& w,
                     const gemm::PackedB* packed, const LinearEpilogue& epi) {
-  DCHAG_CHECK(x.rank() >= 2 && w.rank() == 2,
+  DCHAG_CHECK(w.rank() == 2,
               "linear_fused ranks " << x.rank() << ", " << w.rank());
-  const Index K = x.dim(-1);
-  const Index N = w.dim(1);
-  DCHAG_CHECK(w.dim(0) == K, "linear_fused inner dims "
-                                 << x.shape().to_string() << " x "
-                                 << w.shape().to_string());
-  DCHAG_CHECK(packed == nullptr || packed->matches(K, N),
+  const GemmDims d = matmul_dims("linear_fused", x, w);
+  const Index N = d.N;
+  DCHAG_CHECK(packed == nullptr || packed->matches(d.K, N),
               "packed panels are for [" << (packed ? packed->K : 0) << ", "
                                         << (packed ? packed->N : 0)
-                                        << "], weight is ["
-                                        << K << ", " << N << "]");
-  auto out_dims = x.shape().dims();
-  out_dims.back() = N;
-  Tensor out(Shape(std::move(out_dims)));
-  const Index R = x.numel() / K;  // flattened row count
-
+                                        << "], weight is [" << d.K << ", "
+                                        << N << "]");
+  Tensor out(x.shape().with_dim(-1, N));
   if (epi.bias != nullptr)
     DCHAG_CHECK(epi.bias->shape() == Shape{N}, "fused bias must be [" << N
                                                                       << "]");
@@ -320,8 +354,6 @@ Tensor linear_fused(const Tensor& x, const Tensor& w,
                     epi.ln_beta->shape() == Shape{N},
                 "fused layernorm gamma/beta must be [" << N << "]");
 
-  const float* px = x.data();
-  const float* pw = w.data();
   const float* pbias = epi.bias ? epi.bias->data() : nullptr;
   const float* pres = epi.residual ? epi.residual->data() : nullptr;
   const float* pg = has_ln ? epi.ln_gamma->data() : nullptr;
@@ -331,7 +363,7 @@ Tensor linear_fused(const Tensor& x, const Tensor& w,
   // Each stage repeats its standalone op's scalar code on a completed
   // row; residual order (value + residual) is the bitwise-equal mirror of
   // the unfused add(residual, value).
-  auto epilogue_rows = [&](Index r0, Index r1) {
+  gemm_rows(d, x.data(), w.data(), packed, po, [&](Index r0, Index r1) {
     for (Index r = r0; r < r1; ++r) {
       float* crow = po + r * N;
       if (pbias != nullptr)
@@ -344,128 +376,24 @@ Tensor linear_fused(const Tensor& x, const Tensor& w,
       }
       if (has_ln) ln_row(crow, crow, N, pg, pb, epi.ln_eps, nullptr, nullptr);
     }
-  };
-
-  const KernelConfig cfg = kernel_config();
-  if (cfg.backend == KernelBackend::kNaive) {
-    for (Index r = 0; r < R; ++r) {
-      float* crow = po + r * N;
-      const float* arow = px + r * K;
-      for (Index k = 0; k < K; ++k) {
-        const float av = arow[k];
-        if (av == 0.0f) continue;
-        const float* brow = pw + k * N;
-        for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
-      }
-    }
-    epilogue_rows(0, R);
-  } else {
-    const bool use_packed = packed != nullptr;
-    auto run_rows = [&](Index r0, Index r1) {
-      if (use_packed) {
-        gemm::gemm_blocked_prepacked(r1 - r0, px + r0 * K, K, *packed,
-                                     po + r0 * N, N);
-      } else {
-        gemm::gemm_blocked(r1 - r0, N, K, px + r0 * K, K, pw, N, po + r0 * N,
-                           N);
-      }
-      epilogue_rows(r0, r1);
-    };
-    const Index flops_per_row = 2 * N * K;
-    const Index grain =
-        std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_row));
-    if (cfg.backend == KernelBackend::kParallel) {
-      active_pool().parallel_for(R, grain, run_rows, cfg.threads);
-    } else {
-      run_rows(0, R);
-    }
-  }
-  g_flops.fetch_add(
-      static_cast<std::uint64_t>(2) * static_cast<std::uint64_t>(R) *
-          static_cast<std::uint64_t>(N) * static_cast<std::uint64_t>(K),
-      std::memory_order_relaxed);
+  });
   return out;
 }
 
 Tensor matmul_scale_softmax(const Tensor& a, const Tensor& b, float s) {
-  DCHAG_CHECK(a.rank() >= 2 && b.rank() >= 2,
-              "matmul_scale_softmax ranks " << a.rank() << ", " << b.rank());
-  const Index M = a.dim(-2);
-  const Index K = a.dim(-1);
-  const Index N = b.dim(-1);
-  DCHAG_CHECK(K == b.dim(-2), "matmul_scale_softmax inner dims "
-                                  << a.shape().to_string() << " x "
-                                  << b.shape().to_string());
-  const bool shared_b = b.rank() == 2 && a.rank() > 2;
-  Index batch = 1;
-  for (Index d = 0; d < a.rank() - 2; ++d) batch *= a.dim(d);
-  if (!shared_b) {
-    DCHAG_CHECK(a.rank() == b.rank(), "matmul_scale_softmax batch rank");
-    for (Index d = 0; d < a.rank() - 2; ++d)
-      DCHAG_CHECK(a.dim(d) == b.dim(d), "matmul_scale_softmax batch dims");
-  }
-  auto out_dims = a.shape().dims();
-  out_dims.back() = N;
-  Tensor out(Shape(std::move(out_dims)));
-  const float* pa = a.data();
-  const float* pb = b.data();
+  const GemmDims d = matmul_dims("matmul_scale_softmax", a, b);
+  const Index N = d.N;
+  Tensor out(a.shape().with_dim(-1, N));
   float* po = out.data();
-
   // scale then softmax on a completed score row — the same scalar ops as
   // ops::scale + ops::softmax_lastdim, fused into the matmul's strips.
-  auto epilogue_rows = [&](Index r0, Index r1) {
+  gemm_rows(d, a.data(), b.data(), nullptr, po, [&](Index r0, Index r1) {
     for (Index r = r0; r < r1; ++r) {
       float* crow = po + r * N;
       for (Index j = 0; j < N; ++j) crow[j] = crow[j] * s;
       softmax_row(crow, crow, N);
     }
-  };
-
-  const KernelConfig cfg = kernel_config();
-  if (cfg.backend == KernelBackend::kNaive) {
-    for (Index bi = 0; bi < batch; ++bi) {
-      const float* A = pa + bi * M * K;
-      const float* B = pb + (shared_b ? 0 : bi * K * N);
-      float* C = po + bi * M * N;
-      for (Index i = 0; i < M; ++i) {
-        float* crow = C + i * N;
-        for (Index k = 0; k < K; ++k) {
-          const float av = A[i * K + k];
-          if (av == 0.0f) continue;
-          const float* brow = B + k * N;
-          for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-    epilogue_rows(0, batch * M);
-  } else {
-    auto run_rows = [&](Index r0, Index r1) {
-      Index r = r0;
-      while (r < r1) {
-        const Index bi = r / M;
-        const Index i0 = r - bi * M;
-        const Index rows = std::min(r1 - r, M - i0);
-        gemm::gemm_blocked(rows, N, K, pa + (bi * M + i0) * K, K,
-                           pb + (shared_b ? 0 : bi * K * N), N,
-                           po + (bi * M + i0) * N, N);
-        r += rows;
-      }
-      epilogue_rows(r0, r1);
-    };
-    const Index flops_per_row = 2 * N * K;
-    const Index grain =
-        std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_row));
-    if (cfg.backend == KernelBackend::kParallel) {
-      active_pool().parallel_for(batch * M, grain, run_rows, cfg.threads);
-    } else {
-      run_rows(0, batch * M);
-    }
-  }
-  g_flops.fetch_add(
-      static_cast<std::uint64_t>(2) * static_cast<std::uint64_t>(batch) *
-          static_cast<std::uint64_t>(M) * static_cast<std::uint64_t>(N) *
-          static_cast<std::uint64_t>(K),
-      std::memory_order_relaxed);
+  });
   return out;
 }
 
@@ -553,44 +481,17 @@ Tensor exp(const Tensor& a) {
 
 LayerNormResult layernorm(const Tensor& a, const Tensor& gamma,
                           const Tensor& beta, float eps) {
-  const Index D = a.dim(-1);
-  DCHAG_CHECK(gamma.shape() == Shape{D} && beta.shape() == Shape{D},
-              "layernorm gamma/beta must be [" << D << "]");
-  const Index rows = a.numel() / D;
   LayerNormResult r{Tensor(a.shape()), Tensor(a.shape().without_dim(-1)),
                     Tensor(a.shape().without_dim(-1))};
-  const float* p = a.data();
-  const float* g = gamma.data();
-  const float* b = beta.data();
-  float* y = r.y.data();
-  float* mean = r.mean.data();
-  float* rstd = r.rstd.data();
-  dispatch_range(rows, std::max<Index>(1, kEwGrain / std::max<Index>(1, D)),
-                 [&](Index lo, Index hi) {
-                   for (Index i = lo; i < hi; ++i)
-                     ln_row(p + i * D, y + i * D, D, g, b, eps, mean + i,
-                            rstd + i);
-                 });
+  layernorm_rows(a, gamma, beta, eps, r.y.data(), r.mean.data(),
+                 r.rstd.data());
   return r;
 }
 
 Tensor layernorm_value(const Tensor& a, const Tensor& gamma,
                        const Tensor& beta, float eps) {
-  const Index D = a.dim(-1);
-  DCHAG_CHECK(gamma.shape() == Shape{D} && beta.shape() == Shape{D},
-              "layernorm gamma/beta must be [" << D << "]");
-  const Index rows = a.numel() / D;
   Tensor y(a.shape());
-  const float* p = a.data();
-  const float* g = gamma.data();
-  const float* b = beta.data();
-  float* py = y.data();
-  dispatch_range(rows, std::max<Index>(1, kEwGrain / std::max<Index>(1, D)),
-                 [&](Index lo, Index hi) {
-                   for (Index i = lo; i < hi; ++i)
-                     ln_row(p + i * D, py + i * D, D, g, b, eps, nullptr,
-                            nullptr);
-                 });
+  layernorm_rows(a, gamma, beta, eps, y.data(), nullptr, nullptr);
   return y;
 }
 

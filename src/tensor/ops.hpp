@@ -1,12 +1,15 @@
 // Stateless tensor kernels. All functions return freshly-allocated tensors;
 // inputs are never mutated. Elementwise binaries use numpy-style
 // right-aligned broadcasting. A process-wide FLOP ledger instruments every
-// matmul so the analytic hw::FlopModel can be validated against executed
+// GEMM so the analytic hw::FlopModel can be validated against executed
 // kernels (tests/hw/flop_model_test.cpp).
 //
-// matmul, the elementwise/broadcast fast paths, softmax, layernorm, and
-// sum_dim dispatch on kernel_config() (naive | blocked | parallel); see
-// tensor/kernel_config.hpp for the backend contract and env knobs.
+// Every kernel dispatches on kernel_config() (naive | blocked | parallel);
+// see tensor/kernel_config.hpp for the backend contract and env knobs.
+// The GEMM entry points (matmul, linear_fused, matmul_scale_softmax) share
+// one backend driver that fans out in ~1 MFLOP row strips and differ only
+// in their row epilogues; the elementwise/broadcast fast paths, softmax,
+// layernorm and sum_dim fan out through tensor/dispatch.hpp.
 #pragma once
 
 #include <atomic>

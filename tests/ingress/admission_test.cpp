@@ -1,10 +1,14 @@
 // Admission control: a saturated bounded queue answers with typed
 // kSaturated rejects (no hangs, no silent drops), every ACCEPTED request
-// is answered bit-exactly, and a draining ingress type-rejects new work
-// while still finishing everything it admitted.
+// is answered bit-exactly, a draining ingress type-rejects new work
+// while still finishing everything it admitted, and a client that hangs
+// up leaves no descriptor behind.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -195,6 +199,43 @@ TEST(Admission, DrainingRejectsNewWorkAndFinishesAdmittedWork) {
   EXPECT_EQ(c.queue_depth, 0u);
   EXPECT_EQ(ok.load() + shutdown_rejected.load() + hung_up.load(),
             kClients);
+}
+
+/// Open descriptors of this process (client and ingress sides both).
+std::ptrdiff_t open_fds() {
+  namespace fs = std::filesystem;
+  return std::distance(fs::directory_iterator("/proc/self/fd"),
+                       fs::directory_iterator{});
+}
+
+TEST(Admission, ClosedConnectionsReleaseTheirDescriptors) {
+  TrainedModel trained;
+  IngressConfig cfg = testutil::base_config(trained);
+  cfg.min_workers = 1;
+  cfg.max_workers = 1;
+  Ingress ingress(cfg);
+  {
+    Client warm(ingress.port());  // settle any lazily opened descriptors
+    ASSERT_TRUE(warm.healthz());
+  }
+
+  const std::ptrdiff_t start = open_fds();
+  constexpr int kCycles = 200;
+  for (int i = 0; i < kCycles; ++i) {
+    Client client(ingress.port());
+    ASSERT_TRUE(client.healthz());
+  }
+  // The ingress notices each hang-up asynchronously; give it a moment.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::ptrdiff_t now = open_fds();
+  while (now > start + 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = open_fds();
+  }
+  EXPECT_LE(now, start + 4) << kCycles << " closed connections left "
+                            << now - start << " descriptors open";
+  EXPECT_TRUE(Client(ingress.port()).healthz());  // still serving
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -141,6 +142,22 @@ void expect_fused_linear_parity(const Shape& x_shape, Index N,
   }
 }
 
+/// Runs `op` on every backend: blocked and parallel must agree bit for
+/// bit, the naive oracle within 1e-5.
+template <typename Op>
+void expect_backends_agree(Op&& op, const std::string& what) {
+  Tensor out[3];
+  int i = 0;
+  for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
+                          KernelBackend::kParallel}) {
+    runtime::Scope scope(backend_patch(b));
+    out[i++] = op();
+  }
+  EXPECT_LE(ops::max_abs_diff(out[0], out[1]), 1e-5f) << what;
+  EXPECT_EQ(ops::max_abs_diff(out[1], out[2]), 0.0f)
+      << what << " — blocked and parallel must be bit-identical";
+}
+
 TEST(FusedEpilogues, LinearBitIdenticalAcrossBackends) {
   for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
                           KernelBackend::kParallel}) {
@@ -148,6 +165,28 @@ TEST(FusedEpilogues, LinearBitIdenticalAcrossBackends) {
     expect_fused_linear_parity(Shape{33, 24}, 40, 11);
     expect_fused_linear_parity(Shape{2, 7, 19, 24}, 16, 12);  // flat rows
     expect_fused_linear_parity(Shape{1, 24}, 24, 13);
+    // Big enough for kParallel's strips to cross the 37-row batch edges.
+    expect_fused_linear_parity(Shape{3, 37, 256}, 300, 16);
+  }
+  Rng rng(17);
+  const float s = 1.0f / 16.0f;  // 1/sqrt(K)
+  Tensor x = rng.normal_tensor(Shape{3, 37, 256}, 0.0f, s);
+  Tensor w = rng.normal_tensor(Shape{256, 300}, 0.0f, s);
+  Tensor bias = rng.normal_tensor(Shape{300});
+  Tensor residual = rng.normal_tensor(Shape{3, 37, 300});
+  Tensor gamma = rng.normal_tensor(Shape{300}, 1.0f, 0.1f);
+  Tensor beta = rng.normal_tensor(Shape{300}, 0.0f, 0.1f);
+  gemm::PackedB pb = gemm::pack_b_matrix(w.data(), 256, 300, 300);
+  ops::LinearEpilogue full;
+  full.bias = &bias;
+  full.gelu = true;
+  full.residual = &residual;
+  full.ln_gamma = &gamma;
+  full.ln_beta = &beta;
+  for (const gemm::PackedB* packed : {&pb, static_cast<gemm::PackedB*>(nullptr)}) {
+    expect_backends_agree(
+        [&] { return ops::linear_fused(x, w, packed, full); },
+        packed != nullptr ? "linear_fused packed" : "linear_fused per-call");
   }
 }
 
@@ -171,19 +210,40 @@ TEST(FusedEpilogues, MatmulScaleSoftmaxBitIdenticalAcrossBackends) {
                                                           s))),
         0.0f);
   }
+  // Big enough for kParallel's strips to cross the 37-row batch edges.
+  Tensor qa = rng.normal_tensor(Shape{3, 37, 256}, 0.0f, 1.0f / 16.0f);
+  Tensor kb = rng.normal_tensor(Shape{3, 256, 300}, 0.0f, 1.0f / 16.0f);
+  Tensor kshared = rng.normal_tensor(Shape{256, 300}, 0.0f, 1.0f / 16.0f);
+  for (const Tensor* bmat : {&kb, &kshared}) {
+    expect_backends_agree(
+        [&] { return ops::matmul_scale_softmax(qa, *bmat, 0.5f); },
+        "matmul_scale_softmax x " + bmat->shape().to_string());
+    runtime::Scope scope(backend_patch(KernelBackend::kParallel));
+    EXPECT_EQ(ops::max_abs_diff(
+                  ops::matmul_scale_softmax(qa, *bmat, 0.5f),
+                  ops::softmax_lastdim(ops::scale(ops::matmul(qa, *bmat),
+                                                  0.5f))),
+              0.0f);
+  }
 }
 
 TEST(FusedEpilogues, LayernormValueMatchesLayernormY) {
   Rng rng(15);
-  Tensor x = rng.normal_tensor(Shape{257, 48});
-  Tensor gamma = rng.normal_tensor(Shape{48}, 1.0f, 0.1f);
-  Tensor beta = rng.normal_tensor(Shape{48}, 0.0f, 0.1f);
-  for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
-                          KernelBackend::kParallel}) {
-    runtime::Scope scope(backend_patch(b));
-    EXPECT_EQ(ops::max_abs_diff(ops::layernorm_value(x, gamma, beta),
-                                ops::layernorm(x, gamma, beta).y),
-              0.0f);
+  // 257 rows stay under the parallel row split; 2100 rows of D=48 cross
+  // it (row grain 32768/48 = 682).
+  for (const Shape& shape : {Shape{257, 48}, Shape{3, 700, 48}}) {
+    Tensor x = rng.normal_tensor(shape);
+    Tensor gamma = rng.normal_tensor(Shape{48}, 1.0f, 0.1f);
+    Tensor beta = rng.normal_tensor(Shape{48}, 0.0f, 0.1f);
+    for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
+                            KernelBackend::kParallel}) {
+      runtime::Scope scope(backend_patch(b));
+      EXPECT_EQ(ops::max_abs_diff(ops::layernorm_value(x, gamma, beta),
+                                  ops::layernorm(x, gamma, beta).y),
+                0.0f);
+    }
+    expect_backends_agree([&] { return ops::layernorm_value(x, gamma, beta); },
+                          "layernorm_value " + shape.to_string());
   }
 }
 

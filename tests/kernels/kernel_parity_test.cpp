@@ -76,6 +76,10 @@ TEST(MatmulParity, Rank3BatchesAndSharedB) {
   expect_three_way_parity(Shape{3, 17, 13}, Shape{3, 13, 29}, 8);
   // Rank-2 B shared across the batch, rank-4 batch dims.
   expect_three_way_parity(Shape{2, 3, 19, 23}, Shape{23, 31}, 9);
+  // Large enough that kParallel's ~1 MFLOP strips (6 rows here) split
+  // the 111 flattened rows and cross the 37-row batch edges.
+  expect_three_way_parity(Shape{3, 37, 256}, Shape{3, 256, 300}, 14);
+  expect_three_way_parity(Shape{3, 37, 256}, Shape{256, 300}, 15);
 }
 
 TEST(MatmulParity, EmptyDims) {
@@ -97,18 +101,27 @@ TEST(MatmulParity, FlopLedgerIdenticalAcrossBackends) {
   Rng rng(10);
   Tensor a = rng.normal_tensor(Shape{33, 47});
   Tensor b = rng.normal_tensor(Shape{47, 21});
-  std::uint64_t counts[3];
-  int i = 0;
+  Tensor q = rng.normal_tensor(Shape{2, 9, 47});
+  Tensor kt = rng.normal_tensor(Shape{2, 47, 13});
+  // matmul, linear_fused, matmul_scale_softmax: 2*M*N*K on every backend.
+  const std::uint64_t want[3] = {2ull * 33 * 47 * 21, 2ull * 33 * 47 * 21,
+                                 2ull * 2 * 9 * 47 * 13};
   for (KernelBackend be : {KernelBackend::kNaive, KernelBackend::kBlocked,
                            KernelBackend::kParallel}) {
     runtime::Scope scope(backend_patch(be));
+    std::uint64_t got[3];
     ops::reset_flops();
     (void)ops::matmul(a, b);
-    counts[i++] = ops::flops_executed();
+    got[0] = ops::flops_executed();
+    ops::reset_flops();
+    (void)ops::linear_fused(a, b, nullptr, {});
+    got[1] = ops::flops_executed();
+    ops::reset_flops();
+    (void)ops::matmul_scale_softmax(q, kt, 0.5f);
+    got[2] = ops::flops_executed();
+    for (int i = 0; i < 3; ++i)
+      EXPECT_EQ(got[i], want[i]) << to_string(be) << ", entry point " << i;
   }
-  EXPECT_EQ(counts[0], 2ull * 33 * 47 * 21);
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[1], counts[2]);
 }
 
 TEST(ElementwiseParity, ParallelMatchesNaiveAboveFanoutThreshold) {
