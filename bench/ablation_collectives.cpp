@@ -1,9 +1,9 @@
 // Ablation: collective algorithm choice on the modelled Frontier fabric
 // (ring vs hierarchical two-level, intra- vs inter-node groups) — the
 // design space behind the paper's §6.3 argument that the hybrid layout
-// wins by keeping heavy collectives on Infinity Fabric. In-process
-// algorithm timings live in micro_collectives; this bench evaluates the
-// alpha-beta cost model at Frontier scale.
+// wins by keeping heavy collectives on Infinity Fabric. The in-process
+// runtime has one data path (timed by micro_collectives); this bench
+// evaluates the alpha-beta cost model's algorithms at Frontier scale.
 #include "bench_util.hpp"
 #include "hw/comm_model.hpp"
 

@@ -1,7 +1,9 @@
 // Microbenchmark (google-benchmark): the in-process collective runtime's
-// algorithms (direct shared-memory, ring, hierarchical) across payload
-// sizes and group sizes, plus the point-to-point mailbox. These numbers
-// characterise the simulation substrate itself, not Frontier.
+// one data path (direct shared-memory reads between barriers) for
+// AllReduce, AllGather and ReduceScatter across payload sizes and group
+// sizes, plus the point-to-point mailbox. These numbers characterise the
+// simulation substrate itself, not Frontier; hw::CommCostModel prices
+// ring and node-placement costs on the real fabric.
 #include <benchmark/benchmark.h>
 
 #include "comm/communicator.hpp"
@@ -10,26 +12,25 @@ namespace {
 
 using namespace dchag::comm;
 
-void run_collective(benchmark::State& state, Algorithm alg,
-                    CollectiveKind kind) {
+void run_collective(benchmark::State& state, CollectiveKind kind) {
   const int world = static_cast<int>(state.range(0));
   const std::size_t n = static_cast<std::size_t>(state.range(1));
-  World w(world, Topology::packed(world, 4));
+  World w(world);
   for (auto _ : state) {
     w.run([&](Communicator& comm) {
       std::vector<float> data(n, static_cast<float>(comm.rank()));
       switch (kind) {
         case CollectiveKind::kAllReduce:
-          comm.all_reduce(data, ReduceOp::kSum, alg);
+          comm.all_reduce(data);
           break;
         case CollectiveKind::kAllGather: {
           std::vector<float> recv(n * static_cast<std::size_t>(world));
-          comm.all_gather(std::span<const float>(data.data(), n), recv, alg);
+          comm.all_gather(std::span<const float>(data.data(), n), recv);
           break;
         }
         case CollectiveKind::kReduceScatter: {
           std::vector<float> send(n * static_cast<std::size_t>(world), 1.0f);
-          comm.reduce_scatter(send, data, ReduceOp::kSum, alg);
+          comm.reduce_scatter(send, data);
           break;
         }
         default:
@@ -43,28 +44,19 @@ void run_collective(benchmark::State& state, Algorithm alg,
                           world);
 }
 
-void BM_AllReduceDirect(benchmark::State& state) {
-  run_collective(state, Algorithm::kDirect, CollectiveKind::kAllReduce);
+void BM_AllReduce(benchmark::State& state) {
+  run_collective(state, CollectiveKind::kAllReduce);
 }
-void BM_AllReduceRing(benchmark::State& state) {
-  run_collective(state, Algorithm::kRing, CollectiveKind::kAllReduce);
+void BM_AllGather(benchmark::State& state) {
+  run_collective(state, CollectiveKind::kAllGather);
 }
-void BM_AllReduceHierarchical(benchmark::State& state) {
-  run_collective(state, Algorithm::kHierarchical,
-                 CollectiveKind::kAllReduce);
-}
-void BM_AllGatherDirect(benchmark::State& state) {
-  run_collective(state, Algorithm::kDirect, CollectiveKind::kAllGather);
-}
-void BM_ReduceScatterRing(benchmark::State& state) {
-  run_collective(state, Algorithm::kRing, CollectiveKind::kReduceScatter);
+void BM_ReduceScatter(benchmark::State& state) {
+  run_collective(state, CollectiveKind::kReduceScatter);
 }
 
-BENCHMARK(BM_AllReduceDirect)->Args({4, 1 << 10})->Args({8, 1 << 14});
-BENCHMARK(BM_AllReduceRing)->Args({4, 1 << 10})->Args({8, 1 << 14});
-BENCHMARK(BM_AllReduceHierarchical)->Args({4, 1 << 10})->Args({8, 1 << 14});
-BENCHMARK(BM_AllGatherDirect)->Args({4, 1 << 12})->Args({8, 1 << 12});
-BENCHMARK(BM_ReduceScatterRing)->Args({4, 1 << 12})->Args({8, 1 << 12});
+BENCHMARK(BM_AllReduce)->Args({4, 1 << 10})->Args({8, 1 << 14});
+BENCHMARK(BM_AllGather)->Args({4, 1 << 12})->Args({8, 1 << 12});
+BENCHMARK(BM_ReduceScatter)->Args({4, 1 << 12})->Args({8, 1 << 12});
 
 void BM_SendRecvPingPong(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

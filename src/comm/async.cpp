@@ -33,21 +33,19 @@ CommFuture SyncCollective::run_inline(
 }
 
 CommFuture SyncCollective::do_iall_reduce(std::span<float> data,
-                                          ReduceOp op, Algorithm alg) {
-  return run_inline([=](Communicator& c) { c.all_reduce(data, op, alg); });
+                                          ReduceOp op) {
+  return run_inline([=](Communicator& c) { c.all_reduce(data, op); });
 }
 
 CommFuture SyncCollective::do_iall_gather(std::span<const float> send,
-                                          std::span<float> recv,
-                                          Algorithm alg) {
-  return run_inline([=](Communicator& c) { c.all_gather(send, recv, alg); });
+                                          std::span<float> recv) {
+  return run_inline([=](Communicator& c) { c.all_gather(send, recv); });
 }
 
 CommFuture SyncCollective::do_ireduce_scatter(std::span<const float> send,
                                               std::span<float> recv,
-                                              ReduceOp op, Algorithm alg) {
-  return run_inline(
-      [=](Communicator& c) { c.reduce_scatter(send, recv, op, alg); });
+                                              ReduceOp op) {
+  return run_inline([=](Communicator& c) { c.reduce_scatter(send, recv, op); });
 }
 
 CommFuture SyncCollective::do_ibroadcast(std::span<float> data, int root) {
@@ -137,25 +135,22 @@ CommFuture AsyncCommunicator::enqueue(CollectiveKind kind,
 }
 
 CommFuture AsyncCommunicator::do_iall_reduce(std::span<float> data,
-                                             ReduceOp op, Algorithm alg) {
+                                             ReduceOp op) {
   return enqueue(CollectiveKind::kAllReduce, bytes_of(data.size()),
-                 [=](Communicator& c) { c.all_reduce(data, op, alg); });
+                 [=](Communicator& c) { c.all_reduce(data, op); });
 }
 
 CommFuture AsyncCommunicator::do_iall_gather(std::span<const float> send,
-                                             std::span<float> recv,
-                                             Algorithm alg) {
+                                             std::span<float> recv) {
   return enqueue(CollectiveKind::kAllGather, bytes_of(recv.size()),
-                 [=](Communicator& c) { c.all_gather(send, recv, alg); });
+                 [=](Communicator& c) { c.all_gather(send, recv); });
 }
 
 CommFuture AsyncCommunicator::do_ireduce_scatter(std::span<const float> send,
                                                  std::span<float> recv,
-                                                 ReduceOp op,
-                                                 Algorithm alg) {
-  return enqueue(
-      CollectiveKind::kReduceScatter, bytes_of(send.size()),
-      [=](Communicator& c) { c.reduce_scatter(send, recv, op, alg); });
+                                                 ReduceOp op) {
+  return enqueue(CollectiveKind::kReduceScatter, bytes_of(send.size()),
+                 [=](Communicator& c) { c.reduce_scatter(send, recv, op); });
 }
 
 CommFuture AsyncCommunicator::do_ibroadcast(std::span<float> data, int root) {

@@ -87,20 +87,17 @@ class ICollective {
   [[nodiscard]] virtual int size() const = 0;
 
   [[nodiscard]] CommFuture iall_reduce(std::span<float> data,
-                                       ReduceOp op = ReduceOp::kSum,
-                                       Algorithm alg = Algorithm::kAuto) {
-    return do_iall_reduce(data, op, alg);
+                                       ReduceOp op = ReduceOp::kSum) {
+    return do_iall_reduce(data, op);
   }
   [[nodiscard]] CommFuture iall_gather(std::span<const float> send,
-                                       std::span<float> recv,
-                                       Algorithm alg = Algorithm::kAuto) {
-    return do_iall_gather(send, recv, alg);
+                                       std::span<float> recv) {
+    return do_iall_gather(send, recv);
   }
   [[nodiscard]] CommFuture ireduce_scatter(std::span<const float> send,
                                            std::span<float> recv,
-                                           ReduceOp op = ReduceOp::kSum,
-                                           Algorithm alg = Algorithm::kAuto) {
-    return do_ireduce_scatter(send, recv, op, alg);
+                                           ReduceOp op = ReduceOp::kSum) {
+    return do_ireduce_scatter(send, recv, op);
   }
   [[nodiscard]] CommFuture ibroadcast(std::span<float> data, int root) {
     return do_ibroadcast(data, root);
@@ -108,14 +105,11 @@ class ICollective {
 
  protected:
   [[nodiscard]] virtual CommFuture do_iall_reduce(std::span<float> data,
-                                                  ReduceOp op,
-                                                  Algorithm alg) = 0;
+                                                  ReduceOp op) = 0;
   [[nodiscard]] virtual CommFuture do_iall_gather(std::span<const float> send,
-                                                  std::span<float> recv,
-                                                  Algorithm alg) = 0;
+                                                  std::span<float> recv) = 0;
   [[nodiscard]] virtual CommFuture do_ireduce_scatter(
-      std::span<const float> send, std::span<float> recv, ReduceOp op,
-      Algorithm alg) = 0;
+      std::span<const float> send, std::span<float> recv, ReduceOp op) = 0;
   [[nodiscard]] virtual CommFuture do_ibroadcast(std::span<float> data,
                                                  int root) = 0;
 };
@@ -131,15 +125,13 @@ class SyncCollective final : public ICollective {
   [[nodiscard]] int size() const override { return comm_->size(); }
 
  protected:
-  [[nodiscard]] CommFuture do_iall_reduce(std::span<float> data, ReduceOp op,
-                                          Algorithm alg) override;
+  [[nodiscard]] CommFuture do_iall_reduce(std::span<float> data,
+                                          ReduceOp op) override;
   [[nodiscard]] CommFuture do_iall_gather(std::span<const float> send,
-                                          std::span<float> recv,
-                                          Algorithm alg) override;
+                                          std::span<float> recv) override;
   [[nodiscard]] CommFuture do_ireduce_scatter(std::span<const float> send,
                                               std::span<float> recv,
-                                              ReduceOp op,
-                                              Algorithm alg) override;
+                                              ReduceOp op) override;
   [[nodiscard]] CommFuture do_ibroadcast(std::span<float> data,
                                          int root) override;
 
@@ -176,15 +168,13 @@ class AsyncCommunicator final : public ICollective {
   [[nodiscard]] const CommStats& stats() const { return stats_; }
 
  protected:
-  [[nodiscard]] CommFuture do_iall_reduce(std::span<float> data, ReduceOp op,
-                                          Algorithm alg) override;
+  [[nodiscard]] CommFuture do_iall_reduce(std::span<float> data,
+                                          ReduceOp op) override;
   [[nodiscard]] CommFuture do_iall_gather(std::span<const float> send,
-                                          std::span<float> recv,
-                                          Algorithm alg) override;
+                                          std::span<float> recv) override;
   [[nodiscard]] CommFuture do_ireduce_scatter(std::span<const float> send,
                                               std::span<float> recv,
-                                              ReduceOp op,
-                                              Algorithm alg) override;
+                                              ReduceOp op) override;
   [[nodiscard]] CommFuture do_ibroadcast(std::span<float> data,
                                          int root) override;
 

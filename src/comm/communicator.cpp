@@ -12,26 +12,6 @@ namespace dchag::comm {
 
 namespace {
 
-/// Contiguous chunk layout used by ring and scatter collectives: element
-/// counts per part differ by at most one when n % parts != 0.
-struct Chunk {
-  std::int64_t offset;
-  std::int64_t len;
-};
-
-std::vector<Chunk> make_chunks(std::int64_t n, int parts) {
-  std::vector<Chunk> out(static_cast<std::size_t>(parts));
-  const std::int64_t base = n / parts;
-  const std::int64_t rem = n % parts;
-  std::int64_t off = 0;
-  for (int i = 0; i < parts; ++i) {
-    const std::int64_t len = base + (i < rem ? 1 : 0);
-    out[static_cast<std::size_t>(i)] = {off, len};
-    off += len;
-  }
-  return out;
-}
-
 constexpr std::uint64_t bytes_of_count(std::size_t n) {
   return static_cast<std::uint64_t>(n) * sizeof(float);
 }
@@ -142,24 +122,18 @@ bool SeqBarrier::arrive_and_wait(std::uint64_t seen_epoch) {
   return true;
 }
 
-GroupState::GroupState(int size_in, Topology topo,
-                       std::shared_ptr<const FaultPlan> plan,
+GroupState::GroupState(int size_in, std::shared_ptr<const FaultPlan> plan,
                        std::shared_ptr<FailureLedger> ledger_in,
                        std::vector<int> world_ranks_in)
     : size(size_in),
-      topology(std::move(topo)),
       fault_plan(std::move(plan)),
       ledger(ledger_in ? std::move(ledger_in)
                        : std::make_shared<FailureLedger>()),
       world_ranks(std::move(world_ranks_in)),
       send_slots(static_cast<std::size_t>(size_in), nullptr),
-      recv_slots(static_cast<std::size_t>(size_in), nullptr),
       count_slots(static_cast<std::size_t>(size_in), 0),
       barrier(size_in, ledger.get()) {
   DCHAG_CHECK(size_in > 0, "communicator size must be positive");
-  DCHAG_CHECK(topology.size() == size_in,
-              "topology size " << topology.size() << " != group size "
-                               << size_in);
   if (world_ranks.empty()) {
     world_ranks.resize(static_cast<std::size_t>(size_in));
     for (int r = 0; r < size_in; ++r)
@@ -281,286 +255,105 @@ void Communicator::barrier() {
   inject_exit_faults(CollectiveKind::kBarrier);
 }
 
-// ----- AllReduce -------------------------------------------------------------
+// ----- Collectives ----------------------------------------------------------
+//
+// One data path: each rank publishes a pointer to its buffer (and its
+// element count) in the group's slots, then reads its peers' buffers
+// directly between barriers. A single-rank group moves nothing.
 
-void Communicator::all_reduce(std::span<float> data, ReduceOp op,
-                              Algorithm alg) {
+void Communicator::agree_on_count(std::size_t n, const char* what) {
+  auto& st = *state_;
+  st.count_slots[static_cast<std::size_t>(rank_)] =
+      static_cast<std::int64_t>(n);
+  sync();
+  // Every rank scans every slot, so a mismatch anywhere throws on all
+  // ranks after the same barrier: none reads past a shorter peer buffer
+  // and none is left waiting for the others.
+  for (int r = 0; r < size(); ++r) {
+    const std::int64_t peer = st.count_slots[static_cast<std::size_t>(r)];
+    DCHAG_CHECK(peer == static_cast<std::int64_t>(n),
+                what << " size mismatch across ranks: rank " << r << " has "
+                     << peer << " elements, rank " << rank_ << " has " << n);
+  }
+}
+
+void Communicator::all_reduce(std::span<float> data, ReduceOp op) {
   stats_.record(CollectiveKind::kAllReduce, bytes_of_count(data.size()));
   inject_entry_faults(CollectiveKind::kAllReduce);
-  // Zero elements / one rank: nothing moves. Sizes must match across ranks
-  // (usage contract), so every rank takes this exit symmetrically.
-  if (size() == 1 || data.empty()) {
-    inject_exit_faults(CollectiveKind::kAllReduce);
-    return;
-  }
-  switch (alg) {
-    case Algorithm::kAuto:
-    case Algorithm::kDirect:
-      all_reduce_direct(data, op);
-      break;
-    case Algorithm::kRing:
-      all_reduce_ring(data, op);
-      break;
-    case Algorithm::kHierarchical:
-      all_reduce_hierarchical(data, op);
-      break;
-  }
-  if (op == ReduceOp::kAvg) {
-    const float inv = 1.0f / static_cast<float>(size());
-    for (float& x : data) x *= inv;
+  if (size() > 1) {
+    auto& st = *state_;
+    st.send_slots[static_cast<std::size_t>(rank_)] = data.data();
+    agree_on_count(data.size(), "all_reduce");
+    std::vector<float> temp(data.begin(), data.end());
+    for (int r = 0; r < size(); ++r) {
+      if (r == rank_) continue;
+      reduce_into(temp,
+                  {st.send_slots[static_cast<std::size_t>(r)], data.size()},
+                  op);
+    }
+    sync();  // all reads done before anyone writes
+    std::copy(temp.begin(), temp.end(), data.begin());
+    sync();  // writes done before buffers are reused
+    if (op == ReduceOp::kAvg) {
+      const float inv = 1.0f / static_cast<float>(size());
+      for (float& x : data) x *= inv;
+    }
   }
   inject_exit_faults(CollectiveKind::kAllReduce);
 }
 
-void Communicator::all_reduce_direct(std::span<float> data, ReduceOp op) {
-  auto& st = *state_;
-  st.send_slots[static_cast<std::size_t>(rank_)] = data.data();
-  st.count_slots[static_cast<std::size_t>(rank_)] =
-      static_cast<std::int64_t>(data.size());
-  sync();
-  std::vector<float> temp(data.begin(), data.end());
-  for (int r = 0; r < size(); ++r) {
-    if (r == rank_) continue;
-    DCHAG_CHECK(st.count_slots[static_cast<std::size_t>(r)] ==
-                    static_cast<std::int64_t>(data.size()),
-                "all_reduce size mismatch across ranks");
-    reduce_into(temp,
-                {st.send_slots[static_cast<std::size_t>(r)], data.size()},
-                op);
-  }
-  sync();  // all reads done before anyone writes
-  std::copy(temp.begin(), temp.end(), data.begin());
-  sync();  // writes done before buffers are reused
-}
-
-void Communicator::all_reduce_ring(std::span<float> data, ReduceOp op) {
-  auto& st = *state_;
-  const int P = size();
-  const auto chunks = make_chunks(static_cast<std::int64_t>(data.size()), P);
-  st.recv_slots[static_cast<std::size_t>(rank_)] = data.data();
-  sync();
-  const int left = (rank_ - 1 + P) % P;
-  float* left_buf = st.recv_slots[static_cast<std::size_t>(left)];
-  // Reduce-scatter phase: after step s, the chunk received at step s has
-  // s+2 contributions; after P-1 steps rank r owns complete chunk (r+1)%P.
-  for (int s = 0; s < P - 1; ++s) {
-    const int idx = ((rank_ - s - 1) % P + P) % P;
-    const auto& c = chunks[static_cast<std::size_t>(idx)];
-    reduce_into({data.data() + c.offset, static_cast<std::size_t>(c.len)},
-                {left_buf + c.offset, static_cast<std::size_t>(c.len)}, op);
-    sync();
-  }
-  // All-gather phase: complete chunks travel around the ring.
-  for (int s = 0; s < P - 1; ++s) {
-    const int idx = ((rank_ - s) % P + P) % P;
-    const auto& c = chunks[static_cast<std::size_t>(idx)];
-    std::memcpy(data.data() + c.offset, left_buf + c.offset,
-                static_cast<std::size_t>(c.len) * sizeof(float));
-    sync();
-  }
-}
-
-void Communicator::all_reduce_hierarchical(std::span<float> data,
-                                           ReduceOp op) {
-  auto& st = *state_;
-  const Topology& topo = st.topology;
-  const int my_node = topo.node_of(rank_);
-  int leader = rank_;
-  for (int r = 0; r < size(); ++r) {
-    if (topo.node_of(r) == my_node) {
-      leader = r;
-      break;
-    }
-  }
-  const bool is_leader = leader == rank_;
-
-  st.recv_slots[static_cast<std::size_t>(rank_)] = data.data();
-  sync();
-
-  // Phase 1: each leader reduces its node's members.
-  std::vector<float> temp;
-  if (is_leader) {
-    temp.assign(data.begin(), data.end());
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_ || topo.node_of(r) != my_node) continue;
-      reduce_into(temp,
-                  {st.recv_slots[static_cast<std::size_t>(r)], data.size()},
-                  op);
-    }
-    st.send_slots[static_cast<std::size_t>(rank_)] = temp.data();
-  }
-  sync();
-
-  // Phase 2: leaders reduce across nodes into a private buffer.
-  std::vector<float> final_buf;
-  if (is_leader) {
-    final_buf = temp;
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      int r_leader = -1;
-      for (int q = 0; q < size(); ++q) {
-        if (topo.node_of(q) == topo.node_of(r)) {
-          r_leader = q;
-          break;
-        }
-      }
-      if (r != r_leader || topo.node_of(r) == my_node) continue;
-      reduce_into(final_buf,
-                  {st.send_slots[static_cast<std::size_t>(r)], data.size()},
-                  op);
-    }
-  }
-  sync();
-
-  // Phase 3: leaders publish; members copy from their leader.
-  if (is_leader) std::copy(final_buf.begin(), final_buf.end(), data.begin());
-  sync();
-  if (!is_leader) {
-    const float* src = st.recv_slots[static_cast<std::size_t>(leader)];
-    std::memcpy(data.data(), src, data.size() * sizeof(float));
-  }
-  sync();
-}
-
-// ----- AllGather -------------------------------------------------------------
-
 void Communicator::all_gather(std::span<const float> send,
-                              std::span<float> recv, Algorithm alg) {
+                              std::span<float> recv) {
   DCHAG_CHECK(recv.size() == send.size() * static_cast<std::size_t>(size()),
               "all_gather: recv size " << recv.size() << " != send "
                                        << send.size() << " * " << size());
   stats_.record(CollectiveKind::kAllGather, bytes_of_count(recv.size()));
   inject_entry_faults(CollectiveKind::kAllGather);
-  if (size() == 1 || send.empty()) {
+  if (size() == 1) {
     std::copy(send.begin(), send.end(), recv.begin());
-    inject_exit_faults(CollectiveKind::kAllGather);
-    return;
-  }
-  switch (alg) {
-    case Algorithm::kAuto:
-    case Algorithm::kDirect:
-    case Algorithm::kHierarchical:  // in-process: same data path as direct
-      all_gather_direct(send, recv);
-      break;
-    case Algorithm::kRing:
-      all_gather_ring(send, recv);
-      break;
+  } else {
+    auto& st = *state_;
+    st.send_slots[static_cast<std::size_t>(rank_)] = send.data();
+    agree_on_count(send.size(), "all_gather");
+    const std::size_t n = send.size();
+    for (int r = 0; r < size(); ++r) {
+      std::copy_n(st.send_slots[static_cast<std::size_t>(r)], n,
+                  recv.data() + static_cast<std::size_t>(r) * n);
+    }
+    sync();  // senders keep buffers alive until here
   }
   inject_exit_faults(CollectiveKind::kAllGather);
 }
 
-void Communicator::all_gather_direct(std::span<const float> send,
-                                     std::span<float> recv) {
-  auto& st = *state_;
-  st.send_slots[static_cast<std::size_t>(rank_)] = send.data();
-  st.count_slots[static_cast<std::size_t>(rank_)] =
-      static_cast<std::int64_t>(send.size());
-  sync();
-  const std::size_t n = send.size();
-  for (int r = 0; r < size(); ++r) {
-    DCHAG_CHECK(st.count_slots[static_cast<std::size_t>(r)] ==
-                    static_cast<std::int64_t>(n),
-                "all_gather size mismatch across ranks");
-    std::memcpy(recv.data() + static_cast<std::size_t>(r) * n,
-                st.send_slots[static_cast<std::size_t>(r)],
-                n * sizeof(float));
-  }
-  sync();  // senders keep buffers alive until here
-}
-
-void Communicator::all_gather_ring(std::span<const float> send,
-                                   std::span<float> recv) {
-  auto& st = *state_;
-  const int P = size();
-  const std::size_t n = send.size();
-  std::memcpy(recv.data() + static_cast<std::size_t>(rank_) * n, send.data(),
-              n * sizeof(float));
-  st.recv_slots[static_cast<std::size_t>(rank_)] = recv.data();
-  sync();
-  const int left = (rank_ - 1 + P) % P;
-  const float* left_buf = st.recv_slots[static_cast<std::size_t>(left)];
-  for (int s = 0; s < P - 1; ++s) {
-    const int idx = ((rank_ - s - 1) % P + P) % P;
-    std::memcpy(recv.data() + static_cast<std::size_t>(idx) * n,
-                left_buf + static_cast<std::size_t>(idx) * n,
-                n * sizeof(float));
-    sync();
-  }
-}
-
-// ----- ReduceScatter ---------------------------------------------------------
-
 void Communicator::reduce_scatter(std::span<const float> send,
-                                  std::span<float> recv, ReduceOp op,
-                                  Algorithm alg) {
+                                  std::span<float> recv, ReduceOp op) {
   DCHAG_CHECK(send.size() == recv.size() * static_cast<std::size_t>(size()),
               "reduce_scatter: send size " << send.size() << " != recv "
                                            << recv.size() << " * " << size());
   stats_.record(CollectiveKind::kReduceScatter, bytes_of_count(send.size()));
   inject_entry_faults(CollectiveKind::kReduceScatter);
-  if (size() == 1 || recv.empty()) {
+  if (size() == 1) {
     std::copy(send.begin(), send.end(), recv.begin());
-    inject_exit_faults(CollectiveKind::kReduceScatter);
-    return;
-  }
-  switch (alg) {
-    case Algorithm::kAuto:
-    case Algorithm::kDirect:
-    case Algorithm::kHierarchical:
-      reduce_scatter_direct(send, recv, op);
-      break;
-    case Algorithm::kRing:
-      reduce_scatter_ring(send, recv, op);
-      break;
-  }
-  if (op == ReduceOp::kAvg) {
-    const float inv = 1.0f / static_cast<float>(size());
-    for (float& x : recv) x *= inv;
+  } else {
+    auto& st = *state_;
+    st.send_slots[static_cast<std::size_t>(rank_)] = send.data();
+    agree_on_count(recv.size(), "reduce_scatter");
+    const std::size_t n = recv.size();
+    const std::size_t my_off = static_cast<std::size_t>(rank_) * n;
+    std::copy_n(send.data() + my_off, n, recv.data());
+    for (int r = 0; r < size(); ++r) {
+      if (r == rank_) continue;
+      reduce_into(recv,
+                  {st.send_slots[static_cast<std::size_t>(r)] + my_off, n},
+                  op);
+    }
+    sync();
+    if (op == ReduceOp::kAvg) {
+      const float inv = 1.0f / static_cast<float>(size());
+      for (float& x : recv) x *= inv;
+    }
   }
   inject_exit_faults(CollectiveKind::kReduceScatter);
-}
-
-void Communicator::reduce_scatter_direct(std::span<const float> send,
-                                         std::span<float> recv,
-                                         ReduceOp op) {
-  auto& st = *state_;
-  st.send_slots[static_cast<std::size_t>(rank_)] = send.data();
-  sync();
-  const std::size_t n = recv.size();
-  const std::size_t my_off = static_cast<std::size_t>(rank_) * n;
-  std::memcpy(recv.data(), send.data() + my_off, n * sizeof(float));
-  for (int r = 0; r < size(); ++r) {
-    if (r == rank_) continue;
-    reduce_into(recv,
-                {st.send_slots[static_cast<std::size_t>(r)] + my_off, n},
-                op == ReduceOp::kAvg ? ReduceOp::kSum : op);
-  }
-  sync();
-}
-
-void Communicator::reduce_scatter_ring(std::span<const float> send,
-                                       std::span<float> recv, ReduceOp op) {
-  auto& st = *state_;
-  const int P = size();
-  // Workspace copy of send (ring mutates partial sums in place).
-  std::vector<float> work(send.begin(), send.end());
-  st.recv_slots[static_cast<std::size_t>(rank_)] = work.data();
-  sync();
-  const int left = (rank_ - 1 + P) % P;
-  float* left_buf = st.recv_slots[static_cast<std::size_t>(left)];
-  const std::size_t n = recv.size();
-  const ReduceOp eff = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
-  for (int s = 0; s < P - 1; ++s) {
-    const int idx = ((rank_ - s - 1) % P + P) % P;
-    const std::size_t off = static_cast<std::size_t>(idx) * n;
-    reduce_into({work.data() + off, n}, {left_buf + off, n}, eff);
-    sync();
-  }
-  // Rank r now owns complete chunk (r+1)%P; chunk r lives on the left
-  // neighbour — one final shift delivers reduce_scatter semantics.
-  const std::size_t final_off = static_cast<std::size_t>(rank_) * n;
-  std::memcpy(recv.data(), left_buf + final_off, n * sizeof(float));
-  sync();  // keep workspaces alive until all copied
 }
 
 // ----- Broadcast / point-to-point -------------------------------------------
@@ -569,19 +362,17 @@ void Communicator::broadcast(std::span<float> data, int root) {
   DCHAG_CHECK(root >= 0 && root < size(), "broadcast root " << root);
   stats_.record(CollectiveKind::kBroadcast, bytes_of_count(data.size()));
   inject_entry_faults(CollectiveKind::kBroadcast);
-  if (size() == 1 || data.empty()) {
-    inject_exit_faults(CollectiveKind::kBroadcast);
-    return;
+  if (size() > 1) {
+    auto& st = *state_;
+    if (rank_ == root)
+      st.send_slots[static_cast<std::size_t>(rank_)] = data.data();
+    agree_on_count(data.size(), "broadcast");
+    if (rank_ != root) {
+      std::copy_n(st.send_slots[static_cast<std::size_t>(root)], data.size(),
+                  data.data());
+    }
+    sync();
   }
-  auto& st = *state_;
-  if (rank_ == root)
-    st.send_slots[static_cast<std::size_t>(rank_)] = data.data();
-  sync();
-  if (rank_ != root) {
-    std::memcpy(data.data(), st.send_slots[static_cast<std::size_t>(root)],
-                data.size() * sizeof(float));
-  }
-  sync();
   inject_exit_faults(CollectiveKind::kBroadcast);
 }
 
@@ -691,8 +482,8 @@ Communicator Communicator::split(int color, int key) {
     for (int m : members)
       child_world.push_back(st.world_ranks[static_cast<std::size_t>(m)]);
     auto child = std::make_shared<detail::GroupState>(
-        static_cast<int>(members.size()), st.topology.subgroup(members),
-        st.fault_plan, st.ledger, std::move(child_world));
+        static_cast<int>(members.size()), st.fault_plan, st.ledger,
+        std::move(child_world));
     std::scoped_lock lk(st.split_mu);
     st.split_groups[color] = std::move(child);
     st.split_members[color] = members;
@@ -744,14 +535,11 @@ Communicator Communicator::split_survivors_for(
                                              << " not in membership");
   auto& st = *state_;
   // Rendezvous through the ledger (lock, no barriers): works even when
-  // this handle is poisoned, which is exactly when it's needed. The new
-  // group gets a flat topology — survivor sets need not respect the
-  // original node packing.
+  // this handle is poisoned, which is exactly when it's needed.
   auto group = st.ledger->recovery_group(tag, [&] {
     return std::make_shared<detail::GroupState>(
-        static_cast<int>(world_members.size()),
-        Topology::flat(static_cast<int>(world_members.size())), st.fault_plan,
-        st.ledger, world_members);
+        static_cast<int>(world_members.size()), st.fault_plan, st.ledger,
+        world_members);
   });
   DCHAG_CHECK(group->world_ranks == world_members,
               "split_survivors: tag \"" << tag
@@ -763,13 +551,12 @@ Communicator Communicator::split_survivors_for(
 
 // ----- World -----------------------------------------------------------------
 
-World::World(int size, Topology topo) : size_(size), topo_(std::move(topo)) {
+World::World(int size) : size_(size) {
   DCHAG_CHECK(size_ > 0, "world size must be positive");
-  DCHAG_CHECK(topo_.size() == size_, "topology/world size mismatch");
 }
 
 void World::run(const std::function<void(Communicator&)>& fn) {
-  auto state = std::make_shared<detail::GroupState>(size_, topo_, fault_plan_);
+  auto state = std::make_shared<detail::GroupState>(size_, fault_plan_);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(size_));
   threads.reserve(static_cast<std::size_t>(size_));

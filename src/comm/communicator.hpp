@@ -2,15 +2,20 @@
 //
 // World spawns one std::thread per rank and hands each a Communicator bound
 // to a shared GroupState. Collectives move real data between rank-private
-// buffers through shared memory, with the same semantics (and, for kRing /
-// kHierarchical, the same step structure) as NCCL/RCCL collectives on a
-// GPU cluster. This is the executable substrate for every distributed
+// buffers through shared memory, with the same semantics as NCCL/RCCL
+// collectives on a GPU cluster. There is one data path: each rank publishes
+// a pointer to its buffer and reads its peers' buffers directly between
+// barriers. This is the executable substrate for every distributed
 // algorithm in the library; the analytic hw::CommCostModel prices the same
-// operations on Frontier's fabric for at-scale projections.
+// operations (ring and node-placement costs included) on Frontier's fabric
+// for at-scale projections.
 //
 // Usage contract (as in MPI/NCCL): every rank of a communicator must call
 // the same sequence of collectives with compatible sizes; collectives are
-// rendezvous points and asymmetric call sequences deadlock.
+// rendezvous points and asymmetric call sequences deadlock. Sizes are
+// checked: when ranks pass different element counts to one collective,
+// every rank throws (none reads past a shorter peer buffer, none is left
+// waiting on a barrier).
 //
 // Fault semantics: a World carries one FailureLedger shared by every group
 // descended from it (split() children and async shadow groups included).
@@ -143,13 +148,12 @@ class SeqBarrier {
 
 /// State shared by all ranks of one communicator group.
 struct GroupState {
-  GroupState(int size, Topology topo,
-             std::shared_ptr<const FaultPlan> plan = nullptr,
-             std::shared_ptr<FailureLedger> ledger = nullptr,
-             std::vector<int> world_ranks = {});
+  explicit GroupState(int size,
+                      std::shared_ptr<const FaultPlan> plan = nullptr,
+                      std::shared_ptr<FailureLedger> ledger = nullptr,
+                      std::vector<int> world_ranks = {});
 
   int size;
-  Topology topology;
   /// Optional fault injection consulted by every collective (timing plus
   /// structural events). Propagates into split() children.
   std::shared_ptr<const FaultPlan> fault_plan;
@@ -161,9 +165,9 @@ struct GroupState {
   /// still match them.
   std::vector<int> world_ranks;
 
-  // Pointer-exchange slots for the direct/ring/hierarchical algorithms.
+  // Pointer-exchange slots: each rank publishes its buffer and element
+  // count, then peers read them between barriers.
   std::vector<const float*> send_slots;
-  std::vector<float*> recv_slots;
   std::vector<std::int64_t> count_slots;
   SeqBarrier barrier;
 
@@ -202,7 +206,6 @@ class Communicator {
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return state_->size; }
-  [[nodiscard]] const Topology& topology() const { return state_->topology; }
 
   /// This rank's position in the ROOT world (== rank() on the root group;
   /// composed through split() / split_survivors() for nested groups).
@@ -233,19 +236,16 @@ class Communicator {
   void barrier();
 
   /// In-place sum/avg/max/min across ranks; every rank ends with the result.
-  void all_reduce(std::span<float> data, ReduceOp op = ReduceOp::kSum,
-                  Algorithm alg = Algorithm::kAuto);
+  void all_reduce(std::span<float> data, ReduceOp op = ReduceOp::kSum);
 
   /// Gathers each rank's `send` into `recv` ordered by rank.
   /// recv.size() must equal send.size() * size().
-  void all_gather(std::span<const float> send, std::span<float> recv,
-                  Algorithm alg = Algorithm::kAuto);
+  void all_gather(std::span<const float> send, std::span<float> recv);
 
   /// Reduces element-wise across ranks, scattering contiguous chunks:
   /// rank r receives chunk r. send.size() must equal recv.size() * size().
   void reduce_scatter(std::span<const float> send, std::span<float> recv,
-                      ReduceOp op = ReduceOp::kSum,
-                      Algorithm alg = Algorithm::kAuto);
+                      ReduceOp op = ReduceOp::kSum);
 
   /// Copies root's `data` to every rank (in place).
   void broadcast(std::span<float> data, int root);
@@ -264,9 +264,8 @@ class Communicator {
   /// through the FailureLedger rather than barriers, so it works on a
   /// poisoned handle; every member must call it with the same
   /// (world_members, tag). The fresh group inherits the fault plan and
-  /// ledger (already-fired events cannot re-fire) and uses a flat
-  /// topology. Tags namespace concurrent recoveries — reuse a tag only
-  /// for the same membership.
+  /// ledger (already-fired events cannot re-fire). Tags namespace
+  /// concurrent recoveries — reuse a tag only for the same membership.
   [[nodiscard]] Communicator split_survivors(
       const std::vector<int>& world_members, const std::string& tag);
 
@@ -295,15 +294,9 @@ class Communicator {
   void inject_entry_faults(CollectiveKind kind);
   void inject_exit_faults(CollectiveKind kind);
 
-  void all_reduce_direct(std::span<float> data, ReduceOp op);
-  void all_reduce_ring(std::span<float> data, ReduceOp op);
-  void all_reduce_hierarchical(std::span<float> data, ReduceOp op);
-  void all_gather_direct(std::span<const float> send, std::span<float> recv);
-  void all_gather_ring(std::span<const float> send, std::span<float> recv);
-  void reduce_scatter_direct(std::span<const float> send,
-                             std::span<float> recv, ReduceOp op);
-  void reduce_scatter_ring(std::span<const float> send, std::span<float> recv,
-                           ReduceOp op);
+  /// Publishes this rank's element count and waits for every peer's;
+  /// throws on every rank unless all counts equal `n`.
+  void agree_on_count(std::size_t n, const char* what);
 
   std::shared_ptr<detail::GroupState> state_;
   int rank_;
@@ -322,8 +315,7 @@ class Communicator {
 /// Owns the shared state for `size` ranks and runs SPMD functions.
 class World {
  public:
-  explicit World(int size, Topology topo);
-  explicit World(int size) : World(size, Topology::flat(size)) {}
+  explicit World(int size);
 
   [[nodiscard]] int size() const { return size_; }
 
@@ -345,7 +337,6 @@ class World {
 
  private:
   int size_;
-  Topology topo_;
   std::shared_ptr<const FaultPlan> fault_plan_;
 };
 

@@ -165,9 +165,7 @@ class FaultPlan {
 class FaultyWorld {
  public:
   FaultyWorld(int size, FaultSpec spec)
-      : FaultyWorld(size, Topology::flat(size), std::move(spec)) {}
-  FaultyWorld(int size, Topology topo, FaultSpec spec)
-      : plan_(make_fault_plan(std::move(spec), size)), world_(size, topo) {
+      : plan_(make_fault_plan(std::move(spec), size)), world_(size) {
     world_.set_fault_plan(plan_);
   }
 

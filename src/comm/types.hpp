@@ -1,27 +1,16 @@
 // Shared vocabulary types for the SPMD communication runtime.
 //
-// Reduction ops, collective algorithm selectors (ring vs recursive
-// doubling), and the per-communicator call statistics the tests use to
-// assert how much communication a strategy actually performed.
+// Reduction ops, collective kinds, and the per-communicator call
+// statistics the tests use to assert how much communication a strategy
+// actually performed.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "tensor/check.hpp"
 
 namespace dchag::comm {
 
 enum class ReduceOp { kSum, kAvg, kMax, kMin };
-
-/// Collective algorithm selection. kDirect reads peer buffers through
-/// shared memory (lowest constant factor in-process); kRing is the
-/// bandwidth-optimal P-1-step algorithm NCCL/RCCL use on real fabrics;
-/// kHierarchical is the two-level intra-node-then-inter-node scheme the
-/// paper's hybrid layout exploits. All produce identical results.
-enum class Algorithm { kAuto, kDirect, kRing, kHierarchical };
 
 enum class CollectiveKind : std::size_t {
   kAllReduce = 0,
@@ -72,53 +61,6 @@ struct CommStats {
   [[nodiscard]] std::uint64_t bytes_of(CollectiveKind k) const {
     return payload_bytes[static_cast<std::size_t>(k)];
   }
-};
-
-/// Physical placement of ranks onto nodes. Frontier exposes 8 logical GPUs
-/// (GCDs) per node; hierarchical collectives and the cost model both key
-/// off this mapping.
-class Topology {
- public:
-  /// All ranks on one node (pure shared-memory view).
-  static Topology flat(int size) {
-    return Topology(std::vector<int>(static_cast<std::size_t>(size), 0));
-  }
-  /// Ranks packed onto nodes of `gpus_per_node` in rank order.
-  static Topology packed(int size, int gpus_per_node) {
-    DCHAG_CHECK(gpus_per_node > 0, "gpus_per_node must be positive");
-    std::vector<int> ids(static_cast<std::size_t>(size));
-    for (int r = 0; r < size; ++r) ids[static_cast<std::size_t>(r)] = r / gpus_per_node;
-    return Topology(std::move(ids));
-  }
-  explicit Topology(std::vector<int> node_ids)
-      : node_ids_(std::move(node_ids)) {}
-
-  [[nodiscard]] int size() const {
-    return static_cast<int>(node_ids_.size());
-  }
-  [[nodiscard]] int node_of(int rank) const {
-    return node_ids_[static_cast<std::size_t>(rank)];
-  }
-  [[nodiscard]] int num_nodes() const {
-    int mx = -1;
-    for (int id : node_ids_) mx = std::max(mx, id);
-    return mx + 1;
-  }
-  [[nodiscard]] bool same_node(int a, int b) const {
-    return node_of(a) == node_of(b);
-  }
-  [[nodiscard]] const std::vector<int>& node_ids() const { return node_ids_; }
-
-  /// Topology of a subgroup given its member parent-ranks.
-  [[nodiscard]] Topology subgroup(const std::vector<int>& parent_ranks) const {
-    std::vector<int> ids;
-    ids.reserve(parent_ranks.size());
-    for (int r : parent_ranks) ids.push_back(node_of(r));
-    return Topology(std::move(ids));
-  }
-
- private:
-  std::vector<int> node_ids_;
 };
 
 }  // namespace dchag::comm

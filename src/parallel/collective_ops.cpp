@@ -9,8 +9,7 @@ using tensor::Tensor;
 namespace {
 
 /// Reassembles a raw [P, numel] gather buffer into the concatenation of
-/// the P per-rank tensors along `d`. Shared by the blocking and
-/// split-phase gather ops so both produce bit-identical layouts.
+/// the P per-rank tensors along `d`.
 Tensor cat_from_flat(const Tensor& flat, const Shape& piece_shape, int P,
                      tensor::Index d) {
   std::vector<Tensor> pieces;
@@ -19,6 +18,24 @@ Tensor cat_from_flat(const Tensor& flat, const Shape& piece_shape, int P,
     pieces.push_back(flat.slice0(r, 1).reshape(piece_shape));
   }
   return ops::concat(pieces, d);
+}
+
+/// The gathered Variable with the kLocalSlice tape node: downstream is
+/// replicated, so the incoming gradient is identical on every rank and my
+/// shard's gradient is simply my slice of it — zero backward
+/// communication. Shared by the blocking and split-phase gather ops so
+/// both produce bit-identical layouts and tapes.
+Variable gathered_local_slice(const Tensor& flat, const Variable& x,
+                              Index d, int rank) {
+  const int P = static_cast<int>(flat.dim(0));
+  const Index n_local = x.shape().dim(d);
+  auto nx = x.node();
+  return autograd::make_op(
+      cat_from_flat(flat, x.shape(), P, d), {x},
+      [nx, d, n_local, rank](const Tensor& g) {
+        autograd::accumulate_grad(*nx,
+                                  ops::slice(g, d, rank * n_local, n_local));
+      });
 }
 
 }  // namespace
@@ -47,26 +64,20 @@ Variable all_gather_cat(const Variable& x, Communicator& comm, Index dim,
   const int P = comm.size();
   const int rank = comm.rank();
   const Index d = dim >= 0 ? dim : dim + x.shape().rank();
-  const Index n_local = x.shape().dim(d);
 
   // Gather the raw contiguous buffers, then reassemble along `dim`.
   Tensor flat(Shape{static_cast<Index>(P), x.shape().numel()});
   comm.all_gather(x.value().span(), flat.span());
-  Tensor gathered = cat_from_flat(flat, x.shape(), P, d);
+  if (backward == GatherBackward::kLocalSlice)
+    return gathered_local_slice(flat, x, d, rank);
 
+  // General case: sum gradient slices across ranks.
+  const Index n_local = x.shape().dim(d);
   auto nx = x.node();
   Communicator* c = &comm;
   return autograd::make_op(
-      std::move(gathered), {x},
-      [nx, c, d, n_local, rank, backward](const Tensor& g) {
-        if (backward == GatherBackward::kLocalSlice) {
-          // Downstream is replicated: my shard's gradient is simply my
-          // slice of the (identical-everywhere) upstream gradient.
-          autograd::accumulate_grad(
-              *nx, ops::slice(g, d, rank * n_local, n_local));
-          return;
-        }
-        // General case: sum gradient slices across ranks.
+      cat_from_flat(flat, x.shape(), P, d), {x},
+      [nx, c, d, n_local, rank](const Tensor& g) {
         Tensor gr = g.clone();
         c->all_reduce(gr.span(), comm::ReduceOp::kSum);
         autograd::accumulate_grad(
@@ -91,19 +102,7 @@ Variable PendingGatherCat::wait() {
   DCHAG_CHECK(future_.valid(), "PendingGatherCat waited twice");
   future_.wait();
   future_ = comm::CommFuture();
-  const int P = static_cast<int>(flat_.dim(0));
-  Tensor gathered = cat_from_flat(flat_, input_.shape(), P, dim_);
-  const Index n_local = input_.shape().dim(dim_);
-  auto nx = input_.node();
-  const Index d = dim_;
-  const int rank = rank_;
-  return autograd::make_op(
-      std::move(gathered), {input_}, [nx, d, n_local, rank](const Tensor& g) {
-        // kLocalSlice backward: downstream is replicated, so my shard's
-        // gradient is my slice of the identical-everywhere upstream grad.
-        autograd::accumulate_grad(*nx,
-                                  ops::slice(g, d, rank * n_local, n_local));
-      });
+  return gathered_local_slice(flat_, input_, dim_, rank_);
 }
 
 void sync_parameters(std::span<const Variable> params, Communicator& comm,

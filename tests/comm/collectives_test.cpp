@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <atomic>
+#include <functional>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -19,17 +20,16 @@ std::vector<float> rank_payload(int rank, std::size_t n) {
 struct Param {
   int world;
   std::size_t n;
-  Algorithm alg;
 };
 
 class CollectiveSweep : public ::testing::TestWithParam<Param> {};
 
 TEST_P(CollectiveSweep, AllReduceSum) {
-  const auto [P, n, alg] = GetParam();
+  const auto [P, n] = GetParam();
   World world(P);
   world.run([&](Communicator& comm) {
     auto data = rank_payload(comm.rank(), n);
-    comm.all_reduce(data, ReduceOp::kSum, alg);
+    comm.all_reduce(data, ReduceOp::kSum);
     for (std::size_t i = 0; i < n; ++i) {
       // sum over ranks of (r+1)*0.5 + i*0.25
       const float expected = 0.5f * P * (P + 1) / 2.0f +
@@ -42,11 +42,11 @@ TEST_P(CollectiveSweep, AllReduceSum) {
 }
 
 TEST_P(CollectiveSweep, AllReduceAvgEqualsSumOverP) {
-  const auto [P, n, alg] = GetParam();
+  const auto [P, n] = GetParam();
   World world(P);
   world.run([&](Communicator& comm) {
     auto data = rank_payload(comm.rank(), n);
-    comm.all_reduce(data, ReduceOp::kAvg, alg);
+    comm.all_reduce(data, ReduceOp::kAvg);
     for (std::size_t i = 0; i < n; ++i) {
       const float sum = 0.5f * P * (P + 1) / 2.0f +
                         static_cast<float>(P) * 0.25f * static_cast<float>(i);
@@ -56,11 +56,11 @@ TEST_P(CollectiveSweep, AllReduceAvgEqualsSumOverP) {
 }
 
 TEST_P(CollectiveSweep, AllReduceMax) {
-  const auto [P, n, alg] = GetParam();
+  const auto [P, n] = GetParam();
   World world(P);
   world.run([&](Communicator& comm) {
     auto data = rank_payload(comm.rank(), n);
-    comm.all_reduce(data, ReduceOp::kMax, alg);
+    comm.all_reduce(data, ReduceOp::kMax);
     for (std::size_t i = 0; i < n; ++i) {
       const float expected =
           static_cast<float>(P) * 0.5f + static_cast<float>(i) * 0.25f;
@@ -70,12 +70,12 @@ TEST_P(CollectiveSweep, AllReduceMax) {
 }
 
 TEST_P(CollectiveSweep, AllGatherOrderedByRank) {
-  const auto [P, n, alg] = GetParam();
+  const auto [P, n] = GetParam();
   World world(P);
   world.run([&](Communicator& comm) {
     auto send = rank_payload(comm.rank(), n);
     std::vector<float> recv(n * static_cast<std::size_t>(P));
-    comm.all_gather(send, recv, alg);
+    comm.all_gather(send, recv);
     for (int r = 0; r < P; ++r) {
       auto expected = rank_payload(r, n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -87,7 +87,7 @@ TEST_P(CollectiveSweep, AllGatherOrderedByRank) {
 }
 
 TEST_P(CollectiveSweep, ReduceScatterChunkPerRank) {
-  const auto [P, n, alg] = GetParam();
+  const auto [P, n] = GetParam();
   World world(P);
   world.run([&](Communicator& comm) {
     // send vector has P chunks of n elements each
@@ -100,7 +100,7 @@ TEST_P(CollectiveSweep, ReduceScatterChunkPerRank) {
       }
     }
     std::vector<float> recv(n);
-    comm.reduce_scatter(send, recv, ReduceOp::kSum, alg);
+    comm.reduce_scatter(send, recv, ReduceOp::kSum);
     for (std::size_t i = 0; i < n; ++i) {
       // sum over ranks of (r+1) + my_chunk + 0.1*i
       const float expected =
@@ -112,10 +112,10 @@ TEST_P(CollectiveSweep, ReduceScatterChunkPerRank) {
   });
 }
 
-/// ReduceScatter followed by AllGather must equal AllReduce — the identity
-/// ring-allreduce is built on.
+/// ReduceScatter followed by AllGather must equal AllReduce (the identity
+/// a bandwidth-optimal ring AllReduce is built on).
 TEST_P(CollectiveSweep, ReduceScatterThenAllGatherEqualsAllReduce) {
-  const auto [P, n_raw, alg] = GetParam();
+  const auto [P, n_raw] = GetParam();
   const std::size_t n = std::max<std::size_t>(n_raw, 1);
   World world(P);
   world.run([&](Communicator& comm) {
@@ -125,12 +125,12 @@ TEST_P(CollectiveSweep, ReduceScatterThenAllGatherEqualsAllReduce) {
       a[i] = static_cast<float>(comm.rank()) + static_cast<float>(i) * 0.01f;
     std::vector<float> b = a;
 
-    comm.all_reduce(a, ReduceOp::kSum, alg);
+    comm.all_reduce(a, ReduceOp::kSum);
 
     std::vector<float> chunk(n);
-    comm.reduce_scatter(b, chunk, ReduceOp::kSum, alg);
+    comm.reduce_scatter(b, chunk, ReduceOp::kSum);
     std::vector<float> gathered(total);
-    comm.all_gather(chunk, gathered, alg);
+    comm.all_gather(chunk, gathered);
 
     for (std::size_t i = 0; i < total; ++i)
       ASSERT_NEAR(a[i], gathered[i], 1e-3f);
@@ -138,34 +138,13 @@ TEST_P(CollectiveSweep, ReduceScatterThenAllGatherEqualsAllReduce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    WorldsAndAlgorithms, CollectiveSweep,
-    ::testing::Values(
-        Param{1, 8, Algorithm::kDirect}, Param{2, 5, Algorithm::kDirect},
-        Param{4, 16, Algorithm::kDirect}, Param{8, 3, Algorithm::kDirect},
-        Param{2, 5, Algorithm::kRing}, Param{4, 16, Algorithm::kRing},
-        Param{8, 7, Algorithm::kRing}, Param{3, 10, Algorithm::kRing},
-        Param{4, 16, Algorithm::kHierarchical},
-        Param{8, 9, Algorithm::kHierarchical}),
+    Worlds, CollectiveSweep,
+    ::testing::Values(Param{1, 8}, Param{2, 5}, Param{3, 10}, Param{4, 16},
+                      Param{8, 3}, Param{8, 7}, Param{8, 9}),
     [](const ::testing::TestParamInfo<Param>& info) {
-      const char* alg = info.param.alg == Algorithm::kDirect   ? "Direct"
-                        : info.param.alg == Algorithm::kRing   ? "Ring"
-                                                               : "Hier";
       return std::string("P") + std::to_string(info.param.world) + "N" +
-             std::to_string(info.param.n) + alg;
+             std::to_string(info.param.n);
     });
-
-TEST(Collectives, HierarchicalMatchesDirectWithNodes) {
-  // 8 ranks on 2 "nodes" of 4: hierarchical must equal flat reduction.
-  World world(8, Topology::packed(8, 4));
-  world.run([&](Communicator& comm) {
-    std::vector<float> a(13);
-    std::iota(a.begin(), a.end(), static_cast<float>(comm.rank()));
-    std::vector<float> b = a;
-    comm.all_reduce(a, ReduceOp::kSum, Algorithm::kHierarchical);
-    comm.all_reduce(b, ReduceOp::kSum, Algorithm::kDirect);
-    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], b[i], 1e-4f);
-  });
-}
 
 TEST(Collectives, Broadcast) {
   World world(4);
@@ -258,8 +237,7 @@ TEST(Collectives, RepeatedCollectivesDoNotInterfere) {
   world.run([&](Communicator& comm) {
     for (int iter = 0; iter < 50; ++iter) {
       std::vector<float> d(7, static_cast<float>(comm.rank() + iter));
-      comm.all_reduce(d, ReduceOp::kSum,
-                      iter % 2 == 0 ? Algorithm::kDirect : Algorithm::kRing);
+      comm.all_reduce(d);
       const float expected = 4.0f * iter + 6.0f;  // sum of ranks 0..3 + 4*iter
       ASSERT_NEAR(d[0], expected, 1e-4f) << "iter " << iter;
       comm.barrier();
@@ -268,13 +246,55 @@ TEST(Collectives, RepeatedCollectivesDoNotInterfere) {
 }
 
 TEST(Collectives, SizeMismatchThrows) {
-  World world(2);
-  EXPECT_THROW(world.run([&](Communicator& comm) {
-    std::vector<float> send(4);
-    std::vector<float> recv(4);  // should be 8
-    comm.all_gather(send, recv);
-  }),
-               Error);
+  // Local shape errors and cross-rank count disagreements alike: every
+  // rank must throw (a rank left waiting would hang the run), and no rank
+  // may read past a shorter peer's buffer (the sanitizer builds check).
+  const std::vector<std::function<void(Communicator&)>> cases = {
+      [](Communicator& comm) {  // recv should be 8
+        std::vector<float> send(4);
+        std::vector<float> recv(4);
+        comm.all_gather(send, recv);
+      },
+      [](Communicator& comm) {
+        std::vector<float> d(comm.rank() == 0 ? 2 : 8);
+        comm.all_reduce(d);
+      },
+      [](Communicator& comm) {
+        const std::size_t n = comm.rank() == 0 ? 2 : 8;
+        std::vector<float> send(n);
+        std::vector<float> recv(2 * n);
+        comm.all_gather(send, recv);
+      },
+      [](Communicator& comm) {
+        const std::size_t n = comm.rank() == 0 ? 2 : 8;
+        std::vector<float> send(2 * n, 1.0f);
+        std::vector<float> recv(n);
+        comm.reduce_scatter(send, recv);
+      },
+      [](Communicator& comm) {  // the root's buffer is the shorter one
+        std::vector<float> d(comm.rank() == 0 ? 2 : 8, 1.0f);
+        comm.broadcast(d, 0);
+      },
+      [](Communicator& comm) {  // zero elements against a real payload
+        std::vector<float> d(comm.rank() == 0 ? 0 : 8);
+        comm.all_reduce(d);
+      },
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    World world(2);
+    std::atomic<int> threw{0};
+    EXPECT_THROW(world.run([&](Communicator& comm) {
+      try {
+        cases[i](comm);
+      } catch (const Error&) {
+        ++threw;
+        throw;
+      }
+    }),
+                 Error)
+        << "case " << i;
+    EXPECT_EQ(threw.load(), 2) << "case " << i;
+  }
 }
 
 TEST(Collectives, WorldRethrowsRankException) {

@@ -51,19 +51,16 @@ TEST(FaultyWorld, DifferentSeedsDifferentEdgeDelays) {
 
 TEST(FaultyWorld, AllCollectivesStayExactUnderFaults) {
   // Faults perturb timing only: every collective must produce exactly the
-  // result a quiet world produces, for every algorithm.
-  FaultyWorld world(4, Topology::packed(4, 2), aggressive(777));
+  // result a quiet world produces.
+  FaultyWorld world(4, aggressive(777));
   world.run([](Communicator& comm) {
     const int P = comm.size();
-    for (Algorithm alg :
-         {Algorithm::kDirect, Algorithm::kRing, Algorithm::kHierarchical}) {
-      std::vector<float> d(9);
-      std::iota(d.begin(), d.end(), static_cast<float>(comm.rank()) * 9.0f);
-      comm.all_reduce(d, ReduceOp::kSum, alg);
-      for (std::size_t i = 0; i < d.size(); ++i) {
-        // sum over ranks r of (r*9 + i) = 4i + 9*(0+1+2+3)
-        ASSERT_EQ(d[i], 4.0f * static_cast<float>(i) + 54.0f);
-      }
+    std::vector<float> d(9);
+    std::iota(d.begin(), d.end(), static_cast<float>(comm.rank()) * 9.0f);
+    comm.all_reduce(d);
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      // sum over ranks r of (r*9 + i) = 4i + 9*(0+1+2+3)
+      ASSERT_EQ(d[i], 4.0f * static_cast<float>(i) + 54.0f);
     }
     std::vector<float> send{static_cast<float>(comm.rank())};
     std::vector<float> recv(static_cast<std::size_t>(P));

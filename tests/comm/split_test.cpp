@@ -73,19 +73,6 @@ TEST(Split, NestedSplitOfChild) {
   });
 }
 
-TEST(Split, SubgroupTopologyInheritsNodeIds) {
-  // 8 ranks on 2 nodes of 4; a split that takes one rank per node must
-  // see a 2-node topology.
-  World world(8, Topology::packed(8, 4));
-  world.run([&](Communicator& comm) {
-    const int color = comm.rank() % 4;
-    Communicator sub = comm.split(color);
-    ASSERT_EQ(sub.size(), 2);
-    ASSERT_EQ(sub.topology().num_nodes(), 2);
-    ASSERT_FALSE(sub.topology().same_node(0, 1));
-  });
-}
-
 TEST(Split, SingletonGroups) {
   World world(4);
   world.run([&](Communicator& comm) {

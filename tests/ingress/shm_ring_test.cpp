@@ -20,7 +20,7 @@ namespace {
 
 using tensor::Shape;
 
-RingConfig small_ring() {
+RingConfig small_config() {
   RingConfig cfg;
   cfg.slots = 2;
   cfg.max_payload_floats = 64;
@@ -29,7 +29,7 @@ RingConfig small_ring() {
 
 TEST(ShmRing, CreateOpenRoundTrip) {
   const std::string name = make_ring_name();
-  ShmRing creator = ShmRing::create(name, small_ring());
+  ShmRing creator = ShmRing::create(name, small_config());
   ShmRing opener = ShmRing::open(name);
   EXPECT_EQ(opener.slots(), 2u);
   EXPECT_EQ(opener.max_message_bytes(), 64u * 4 + kMaxWireHeaderBytes);
@@ -45,16 +45,16 @@ TEST(ShmRing, CreateOpenRoundTrip) {
 
 TEST(ShmRing, StaleSegmentNameIsAnError) {
   const std::string name = make_ring_name();
-  ShmRing first = ShmRing::create(name, small_ring());
+  ShmRing first = ShmRing::create(name, small_config());
   // O_EXCL: a second create on the same name must fail loudly instead of
   // silently adopting a stale segment.
-  EXPECT_THROW((void)ShmRing::create(name, small_ring()), std::exception);
+  EXPECT_THROW((void)ShmRing::create(name, small_config()), std::exception);
   first.unlink();
 }
 
 TEST(ShmRing, RequestFlowAndFullEmptyEdges) {
   const std::string name = make_ring_name();
-  ShmRing disp = ShmRing::create(name, small_ring());
+  ShmRing disp = ShmRing::create(name, small_config());
   ShmRing work = ShmRing::open(name);
 
   InferRequest req;
@@ -95,7 +95,7 @@ TEST(ShmRing, RequestFlowAndFullEmptyEdges) {
 
 TEST(ShmRing, ResponseFlowCarriesResultsAndErrors) {
   const std::string name = make_ring_name();
-  ShmRing disp = ShmRing::create(name, small_ring());
+  ShmRing disp = ShmRing::create(name, small_config());
   ShmRing work = ShmRing::open(name);
 
   const std::vector<std::uint8_t> ok = encode_result(
@@ -128,7 +128,7 @@ TEST(ShmRing, ResponseFlowCarriesResultsAndErrors) {
 
 TEST(ShmRing, MessagesAreBoundedByTheSlotBudget) {
   const std::string name = make_ring_name();
-  ShmRing disp = ShmRing::create(name, small_ring());
+  ShmRing disp = ShmRing::create(name, small_config());
   ShmRing work = ShmRing::open(name);
 
   // A full-budget message fits exactly; one byte more is refused before
@@ -155,7 +155,7 @@ TEST(ShmRing, OversizedGeometryIsRefused) {
 
 TEST(ShmRing, CorruptSlotLengthPopsAsTypedError) {
   const std::string name = make_ring_name();
-  ShmRing disp = ShmRing::create(name, small_ring());
+  ShmRing disp = ShmRing::create(name, small_config());
   ShmRing work = ShmRing::open(name);
   ASSERT_TRUE(disp.try_push_request(5, MsgType::kInfer, {1, 2, 3}));
 
@@ -189,7 +189,7 @@ TEST(ShmRing, CorruptSlotLengthPopsAsTypedError) {
 
 TEST(ShmRing, LivenessWords) {
   const std::string name = make_ring_name();
-  ShmRing disp = ShmRing::create(name, small_ring());
+  ShmRing disp = ShmRing::create(name, small_config());
   ShmRing work = ShmRing::open(name);
 
   EXPECT_EQ(disp.heartbeat(), 0u);
@@ -207,7 +207,7 @@ TEST(ShmRing, LivenessWords) {
 
 TEST(ShmRing, CrossThreadSpscStress) {
   const std::string name = make_ring_name();
-  ShmRing disp = ShmRing::create(name, small_ring());
+  ShmRing disp = ShmRing::create(name, small_config());
   ShmRing work = ShmRing::open(name);
   constexpr std::uint64_t kN = 5000;
 
