@@ -1,24 +1,25 @@
-// Non-blocking collectives over the in-process SPMD runtime.
+// Non-blocking AllGather over the in-process SPMD runtime.
 //
-// ICollective is the issue-side interface: iall_gather / iall_reduce /
-// ireduce_scatter / ibroadcast each return a waitable CommFuture
-// immediately. Two implementations share it:
+// ICollective is the issue-side interface of the D-CHAG forward's one
+// collective: iall_gather returns a waitable CommFuture immediately. Two
+// implementations share it:
 //
-//   SyncCollective    — the parity oracle. Runs the blocking collective
+//   SyncCollective    — the parity oracle. Runs the blocking all_gather
 //                       inline on the caller's communicator and returns an
 //                       already-completed future. Identical data path,
 //                       zero overlap: any code written against ICollective
 //                       can flip to it for bit-exact baseline runs.
 //   AsyncCommunicator — real overlap. A per-rank progress thread drains a
-//                       FIFO of issued ops against a SHADOW communicator
-//                       (split() twin of the parent group), so in-flight
-//                       traffic rendezvouses progress-thread-to-progress-
-//                       thread while the rank thread keeps computing.
+//                       FIFO of issued gathers against a SHADOW
+//                       communicator (split() twin of the parent group), so
+//                       in-flight traffic rendezvouses
+//                       progress-thread-to-progress-thread while the rank
+//                       thread keeps computing.
 //
 // Usage contract (inherited from the blocking layer, per-implementation
-// ordering added): every rank must issue the same async ops in the same
-// order, and a buffer handed to an i-op stays owned by the runtime until
-// that op's future completes. wait() rethrows an op's failure on the
+// ordering added): every rank must issue the same gathers in the same
+// order, and a buffer handed to iall_gather stays owned by the runtime
+// until that op's future completes. wait() rethrows an op's failure on the
 // waiting thread.
 //
 // Sync vs async (plus the forward pipeline depth) is the comm slice of
@@ -75,10 +76,8 @@ class CommFuture {
   std::shared_ptr<detail::FutureState> state_;
 };
 
-/// Issue-side interface for non-blocking collectives. Buffer spans must
+/// Issue-side interface for the non-blocking AllGather. Buffer spans must
 /// stay alive and untouched until the returned future completes.
-/// Non-virtual entry points keep the default arguments in one place;
-/// implementations override the protected do_* hooks.
 class ICollective {
  public:
   virtual ~ICollective() = default;
@@ -86,35 +85,13 @@ class ICollective {
   [[nodiscard]] virtual int rank() const = 0;
   [[nodiscard]] virtual int size() const = 0;
 
-  [[nodiscard]] CommFuture iall_reduce(std::span<float> data,
-                                       ReduceOp op = ReduceOp::kSum) {
-    return do_iall_reduce(data, op);
-  }
-  [[nodiscard]] CommFuture iall_gather(std::span<const float> send,
-                                       std::span<float> recv) {
-    return do_iall_gather(send, recv);
-  }
-  [[nodiscard]] CommFuture ireduce_scatter(std::span<const float> send,
-                                           std::span<float> recv,
-                                           ReduceOp op = ReduceOp::kSum) {
-    return do_ireduce_scatter(send, recv, op);
-  }
-  [[nodiscard]] CommFuture ibroadcast(std::span<float> data, int root) {
-    return do_ibroadcast(data, root);
-  }
-
- protected:
-  [[nodiscard]] virtual CommFuture do_iall_reduce(std::span<float> data,
-                                                  ReduceOp op) = 0;
-  [[nodiscard]] virtual CommFuture do_iall_gather(std::span<const float> send,
-                                                  std::span<float> recv) = 0;
-  [[nodiscard]] virtual CommFuture do_ireduce_scatter(
-      std::span<const float> send, std::span<float> recv, ReduceOp op) = 0;
-  [[nodiscard]] virtual CommFuture do_ibroadcast(std::span<float> data,
-                                                 int root) = 0;
+  /// Concatenates every rank's `send` into `recv` (rank order);
+  /// recv.size() must be send.size() * size() on every rank.
+  [[nodiscard]] virtual CommFuture iall_gather(std::span<const float> send,
+                                               std::span<float> recv) = 0;
 };
 
-/// Blocking-execution oracle: each i-op completes before it returns, on
+/// Blocking-execution oracle: each gather completes before it returns, on
 /// the caller's own communicator (stats land there too). Constructing one
 /// is rank-local and free.
 class SyncCollective final : public ICollective {
@@ -124,20 +101,10 @@ class SyncCollective final : public ICollective {
   [[nodiscard]] int rank() const override { return comm_->rank(); }
   [[nodiscard]] int size() const override { return comm_->size(); }
 
- protected:
-  [[nodiscard]] CommFuture do_iall_reduce(std::span<float> data,
-                                          ReduceOp op) override;
-  [[nodiscard]] CommFuture do_iall_gather(std::span<const float> send,
-                                          std::span<float> recv) override;
-  [[nodiscard]] CommFuture do_ireduce_scatter(std::span<const float> send,
-                                              std::span<float> recv,
-                                              ReduceOp op) override;
-  [[nodiscard]] CommFuture do_ibroadcast(std::span<float> data,
-                                         int root) override;
+  [[nodiscard]] CommFuture iall_gather(std::span<const float> send,
+                                       std::span<float> recv) override;
 
  private:
-  CommFuture run_inline(const std::function<void(Communicator&)>& fn);
-
   Communicator* comm_;
 };
 
@@ -156,51 +123,27 @@ class AsyncCommunicator final : public ICollective {
   [[nodiscard]] int rank() const override { return shadow_.rank(); }
   [[nodiscard]] int size() const override { return shadow_.size(); }
 
-  /// Blocks until every issued op has completed (does not rethrow their
-  /// errors — wait each future for that).
-  void drain();
-
-  /// Ops issued but not yet completed.
-  [[nodiscard]] std::size_t in_flight() const;
-
-  /// Traffic ledger of issued async ops, recorded at issue time on the
-  /// issuing thread (so reads from that thread are race-free).
-  [[nodiscard]] const CommStats& stats() const { return stats_; }
-
- protected:
-  [[nodiscard]] CommFuture do_iall_reduce(std::span<float> data,
-                                          ReduceOp op) override;
-  [[nodiscard]] CommFuture do_iall_gather(std::span<const float> send,
-                                          std::span<float> recv) override;
-  [[nodiscard]] CommFuture do_ireduce_scatter(std::span<const float> send,
-                                              std::span<float> recv,
-                                              ReduceOp op) override;
-  [[nodiscard]] CommFuture do_ibroadcast(std::span<float> data,
-                                         int root) override;
+  [[nodiscard]] CommFuture iall_gather(std::span<const float> send,
+                                       std::span<float> recv) override;
 
  private:
   struct PendingOp {
-    std::function<void(Communicator&)> fn;
+    std::span<const float> send;
+    std::span<float> recv;
     std::shared_ptr<detail::FutureState> state;
     /// The issuing thread's effective context: the progress thread runs
     /// the op under it (runtime::Scope), so overrides — tracing sink
     /// included — cross the issue/progress boundary.
     runtime::Context ctx;
-    std::uint64_t bytes = 0;
   };
 
-  CommFuture enqueue(CollectiveKind kind, std::uint64_t bytes,
-                     std::function<void(Communicator&)> fn);
   void progress_loop();
 
   Communicator shadow_;
-  CommStats stats_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_ops_;    ///< progress thread waits for work
-  std::condition_variable cv_idle_;   ///< drain() waits for quiescence
+  std::mutex mu_;
+  std::condition_variable cv_ops_;  ///< progress thread waits for work
   std::deque<PendingOp> queue_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
   std::thread progress_;  ///< last member: starts after state is ready
 };
@@ -208,8 +151,7 @@ class AsyncCommunicator final : public ICollective {
 /// Sync-vs-async switch consumed by the D-CHAG front-end, serving, and
 /// training — the comm slice of the unified runtime::Context.
 /// pipeline_chunks is the forward's software-pipeline depth (micro-chunks
-/// of the batch, double-buffered); <= 1 keeps the original monolithic
-/// one-gather forward.
+/// of the batch, double-buffered); 1 = one chunk, one gather.
 using CommMode = runtime::CommMode;
 using CommConfig = runtime::CommConfig;
 

@@ -1,5 +1,6 @@
 #include "core/dchag_frontend.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace dchag::core {
@@ -93,43 +94,10 @@ comm::ICollective& DchagFrontEnd::collective_for(comm::CommMode mode) const {
 }
 
 Variable DchagFrontEnd::forward(const Tensor& images) const {
-  // One context resolution per forward: everything below (including the
-  // pipelined route and nested ops on pool workers) runs under it.
+  // One context resolution per forward: everything below (including nested
+  // ops on pool workers) runs under it.
   const runtime::Context ctx = effective_context();
   runtime::Scope scope(ctx);
-  const Index B = images.dim(0);
-  const Index S = cfg_.seq_len();
-  const Index D = cfg_.embed_dim;
-
-  // Pipelined route: micro-chunk the batch so gather traffic overlaps the
-  // next chunk's compute. Needs at least 2 chunks to mean anything; the
-  // K <= 1 route below stays the byte-for-byte original forward.
-  const comm::CommConfig cc = ctx.comm();
-  const Index K =
-      std::min<Index>(std::max<Index>(cc.pipeline_chunks, 1), B);
-  runtime::trace(ctx, "core.forward.pipeline_chunks",
-                 static_cast<double>(K));
-  if (K > 1) return forward_pipelined(images, K, cc.mode);
-
-  // 1-2. Local tokenization + partial aggregation to one representation.
-  Variable partial = forward_local_partial(images);
-
-  // 3. AllGather one channel representation per rank. Downstream (the
-  // final aggregation onward) is replicated, so the backward is a local
-  // slice — no communication (paper §3.3).
-  Variable as_channel = autograd::reshape(partial, Shape{B, S, 1, D});
-  Variable gathered =
-      comm_->size() == 1
-          ? as_channel
-          : parallel::all_gather_cat(as_channel, *comm_, /*dim=*/2,
-                                     parallel::GatherBackward::kLocalSlice);
-
-  // 4. Final shared cross-attention over the P partial representations.
-  return final_->forward(gathered);  // [B, S, D]
-}
-
-Variable DchagFrontEnd::forward_pipelined(const Tensor& images, Index K,
-                                          comm::CommMode mode) const {
   DCHAG_CHECK(images.rank() == 4 && images.dim(1) == local_channels(),
               "DchagFrontEnd expects the rank-local channel slice [B, "
                   << local_channels() << ", H, W], got "
@@ -137,26 +105,40 @@ Variable DchagFrontEnd::forward_pipelined(const Tensor& images, Index K,
   const Index B = images.dim(0);
   const Index S = cfg_.seq_len();
   const Index D = cfg_.embed_dim;
-  comm::ICollective& coll = collective_for(mode);
+  const int P = comm_->size();
+
+  // K micro-chunks of the batch; an empty batch is one empty chunk.
+  const comm::CommConfig cc = ctx.comm();
+  const Index K = std::clamp<Index>(cc.pipeline_chunks, 1,
+                                    std::max<Index>(B, 1));
+  runtime::trace(ctx, "core.forward.pipeline_chunks",
+                 static_cast<double>(K));
+  // A lone chunk has no compute to hide its gather behind, so it takes the
+  // sync lane in either mode and never builds the async progress lane.
+  comm::ICollective& coll =
+      K > 1 && P > 1 ? collective_for(cc.mode) : *sync_coll_;
 
   // Software pipeline over K batch micro-chunks with two gather slots:
   //
-  //   chunk k   : tree GEMMs -> issue iall_gather into slot k%2
-  //   chunk k+1 : tree GEMMs        | slot k traffic in flight
+  //   chunk k   : tokenizer + tree GEMMs -> issue iall_gather into slot k%2
+  //   chunk k+1 : tokenizer + tree GEMMs  | slot k traffic in flight
   //   combine k : wait slot k, final cross-attention (the only barrier)
   //
   // A slot is re-armed only after its combine, so at most two gathers are
   // ever in flight and buffers are never overwritten mid-transfer. Under
   // SyncCollective the identical code runs with eager (pre-completed)
   // futures: same chunking, same arithmetic order, bit-identical output —
-  // the oracle the FaultyWorld stress tests compare against.
+  // the oracle the FaultyWorld stress tests compare against. The gather is
+  // the only front-end communication and it is forward-only: downstream of
+  // it every rank computes on identical data, so its backward is a local
+  // slice (paper §3.3).
   std::array<std::optional<parallel::PendingGatherCat>, 2> slots;
   std::array<Index, 2> slot_chunk{0, 0};
   std::vector<Variable> outs(static_cast<std::size_t>(K));
   auto combine = [&](std::size_t s) {
     Variable gathered = slots[s]->wait();  // [b, S, P, D]
+    slots[s].reset();  // free the receive buffer before the final layer runs
     outs[static_cast<std::size_t>(slot_chunk[s])] = final_->forward(gathered);
-    slots[s].reset();
   };
 
   const Index base = B / K;
@@ -166,17 +148,25 @@ Variable DchagFrontEnd::forward_pipelined(const Tensor& images, Index K,
     const Index len = base + (k < rem ? 1 : 0);
     const auto s = static_cast<std::size_t>(k % 2);
     if (slots[s]) combine(s);  // retire chunk k-2 before re-arming its slot
+    // 1-2. Local tokenization + partial aggregation to one representation.
     Variable partial = forward_local_partial(images.slice0(off, len));
     Variable as_channel = autograd::reshape(partial, Shape{len, S, 1, D});
-    slots[s] = parallel::all_gather_cat_start(as_channel, coll, /*dim=*/2);
-    slot_chunk[s] = k;
     off += len;
+    // 3-4. With one rank there is nothing to gather: the final
+    // cross-attention runs over the lone representation directly.
+    if (P == 1) {
+      outs[static_cast<std::size_t>(k)] = final_->forward(as_channel);
+      continue;
+    }
+    slots[s].emplace(
+        parallel::all_gather_cat_start(as_channel, coll, /*dim=*/2));
+    slot_chunk[s] = k;
   }
   for (Index k = std::max<Index>(K - 2, 0); k < K; ++k) {
     const auto s = static_cast<std::size_t>(k % 2);
     if (slots[s]) combine(s);
   }
-  return autograd::concat(outs, 0);  // [B, S, D]
+  return K == 1 ? outs.front() : autograd::concat(outs, 0);  // [B, S, D]
 }
 
 Variable DchagFrontEnd::forward_subset(
@@ -243,8 +233,9 @@ Variable DchagFrontEnd::forward_subset(
   Variable as_channel = autograd::reshape(partial, Shape{B, S, 1, D});
   Variable gathered =
       P == 1 ? as_channel
-             : parallel::all_gather_cat(as_channel, *comm_, /*dim=*/2,
-                                        parallel::GatherBackward::kLocalSlice);
+             : parallel::all_gather_cat_start(as_channel, *sync_coll_,
+                                              /*dim=*/2)
+                   .wait();
 
   // Keep only the representations of ranks that actually own subset
   // channels (deterministic from `channels`, so all ranks agree). Slot

@@ -61,7 +61,10 @@ class DchagFrontEnd : public model::FrontEnd {
                 std::optional<runtime::Context> ctx = std::nullopt);
 
   /// local_images: [B, C/P, H, W] (this rank's channels, rank order).
-  /// Returns [B, S, D], identical on every rank.
+  /// Returns [B, S, D], identical on every rank. Runs as K micro-chunks of
+  /// the batch (K = the context's pipeline_chunks clamped to [1, B]), each
+  /// with one AllGather double-buffered against the next chunk's compute;
+  /// K = 1 is one chunk, one gather; every K computes the same math.
   [[nodiscard]] autograd::Variable forward(
       const tensor::Tensor& images) const override;
 
@@ -101,15 +104,6 @@ class DchagFrontEnd : public model::FrontEnd {
   [[nodiscard]] runtime::Context effective_context() const {
     return runtime::Context::effective_or_current(ctx_);
   }
-  /// Effective comm config for a forward on this thread.
-  [[nodiscard]] comm::CommConfig comm_config() const {
-    return effective_context().comm();
-  }
-  /// Ledger of async collectives issued by pipelined forwards (null until
-  /// the first async forward constructs the progress lane).
-  [[nodiscard]] const comm::CommStats* async_stats() const {
-    return async_ ? &async_->stats() : nullptr;
-  }
 
   /// Elastic-recovery hook (serve/spmd_engine): rebinds this front-end to
   /// a regrouped communicator after a rank failure. `logical_slots` maps
@@ -141,15 +135,10 @@ class DchagFrontEnd : public model::FrontEnd {
   }
 
  private:
-  /// The overlap pipeline (double-buffered micro-chunks of the batch):
-  /// level-k gather traffic is in flight while chunk k+1's tokenizer/tree
-  /// GEMMs issue; wait() happens only at each chunk's combine point.
-  [[nodiscard]] autograd::Variable forward_pipelined(
-      const tensor::Tensor& images, Index chunks, comm::CommMode mode) const;
   /// The ICollective for `mode`. First async use constructs the
   /// AsyncCommunicator, which is COLLECTIVE (it splits a shadow group) —
-  /// all ranks must take their first async forward together, the usual
-  /// symmetric-SPMD contract.
+  /// all ranks must take their first pipelined async forward together, the
+  /// usual symmetric-SPMD contract.
   [[nodiscard]] comm::ICollective& collective_for(comm::CommMode mode) const;
 
   ModelConfig cfg_;

@@ -98,6 +98,16 @@ PendingGatherCat all_gather_cat_start(const Variable& x,
   return p;
 }
 
+PendingGatherCat::~PendingGatherCat() {
+  // An unwaited gather may still be reading input_ and writing flat_ on a
+  // progress thread: keep both alive until it is done. Its error belongs
+  // to the wait() that never came.
+  try {
+    future_.wait();
+  } catch (...) {
+  }
+}
+
 Variable PendingGatherCat::wait() {
   DCHAG_CHECK(future_.valid(), "PendingGatherCat waited twice");
   future_.wait();

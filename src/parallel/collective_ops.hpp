@@ -1,7 +1,9 @@
 // Autograd-integrated collectives: the bridge between the SPMD runtime
 // (comm/) and the tape (tensor/autograd.hpp). These encode the
 // communication calculus of tensor parallelism (Megatron's f/g conjugate
-// pair) and of D-CHAG's forward-only AllGather.
+// pair) and of D-CHAG's forward-only AllGather, whose split-phase form
+// (all_gather_cat_start + PendingGatherCat::wait) is the one gather every
+// D-CHAG forward issues, on either the sync or the async lane.
 #pragma once
 
 #include "comm/async.hpp"
@@ -45,17 +47,29 @@ enum class GatherBackward {
 
 /// Split-phase all_gather_cat: the non-blocking half of D-CHAG's overlap.
 /// start() issues the gather on an ICollective and returns immediately;
-/// finish() (or the handle's wait()) blocks on the traffic and assembles
-/// the concatenated Variable — including the kLocalSlice tape node, so
+/// the handle's wait() blocks on the traffic and assembles the
+/// concatenated Variable — including the kLocalSlice tape node, so
 /// train-mode backward works exactly like the blocking op. The handle owns
-/// the receive buffer; keep it alive until wait(). Backward is restricted
-/// to kLocalSlice (zero backward communication), which is the only mode
-/// the overlap pipeline needs — the general kReduceScatter backward would
-/// reintroduce a blocking collective inside the tape.
+/// the receive buffer and pins the input until the gather completes: a
+/// handle destroyed unwaited (an exception unwinding its caller) first
+/// waits the gather out and drops its error, so the progress thread never
+/// touches freed memory. Backward is restricted to kLocalSlice (zero
+/// backward communication), which is the only mode the overlap pipeline
+/// needs — the general kReduceScatter backward would reintroduce a
+/// blocking collective inside the tape.
 class PendingGatherCat {
  public:
+  PendingGatherCat() = default;
+  /// A moved-from handle owns no gather.
+  PendingGatherCat(PendingGatherCat&&) = default;
+  /// Deleted: assigning over a handle would free buffers its gather may
+  /// still be using.
+  PendingGatherCat& operator=(PendingGatherCat&&) = delete;
+  PendingGatherCat(const PendingGatherCat&) = delete;
+  PendingGatherCat& operator=(const PendingGatherCat&) = delete;
+  ~PendingGatherCat();
+
   [[nodiscard]] Variable wait();
-  [[nodiscard]] bool ready() const { return future_.ready(); }
 
  private:
   friend PendingGatherCat all_gather_cat_start(const Variable& x,

@@ -62,8 +62,9 @@ enum class CommMode { kSync, kAsync };
 
 struct CommConfig {
   CommMode mode = CommMode::kSync;
-  /// Forward software-pipeline depth (batch micro-chunks, double
-  /// buffered); <= 1 keeps the monolithic one-gather forward.
+  /// D-CHAG forward software-pipeline depth: batch micro-chunks, one
+  /// double-buffered AllGather each; 1 = one chunk, one gather. The
+  /// forward clamps it to [1, batch].
   int pipeline_chunks = 1;
 };
 
@@ -100,7 +101,7 @@ class ContextBuilder;
 class Context {
  public:
   /// Built-in defaults: parallel kernels over the whole process pool,
-  /// sync monolithic comm, no faults, no tracing.
+  /// sync comm with one forward chunk, no faults, no tracing.
   Context() = default;
 
   [[nodiscard]] const KernelConfig& kernels() const { return kernels_; }

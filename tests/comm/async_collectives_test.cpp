@@ -1,4 +1,4 @@
-// Non-blocking collectives: ICollective futures must deliver exactly the
+// Non-blocking AllGather: ICollective futures must deliver exactly the
 // blocking results, tolerate many in-flight ops and out-of-order waits,
 // and surface per-op failures at wait() — under quiet and faulty worlds.
 #include <gtest/gtest.h>
@@ -17,45 +17,22 @@ std::vector<float> iota_data(int rank, std::size_t n) {
   return d;
 }
 
-TEST(AsyncCollectives, AllOpsMatchBlockingResults) {
+TEST(AsyncCollectives, AllGatherMatchesBlockingResult) {
   World world(4);
   world.run([](Communicator& comm) {
     AsyncCommunicator async(comm);
-    const int P = comm.size();
-    const std::size_t n = 12;
+    const auto P = static_cast<std::size_t>(comm.size());
+    for (std::size_t n : {std::size_t{1}, std::size_t{12}, std::size_t{257}}) {
+      // Blocking reference result on the parent communicator.
+      const std::vector<float> send = iota_data(comm.rank(), n);
+      std::vector<float> ref(n * P);
+      comm.all_gather(send, ref);
 
-    // Blocking reference results on the parent communicator.
-    std::vector<float> ref_reduce = iota_data(comm.rank(), n);
-    comm.all_reduce(ref_reduce);
-    std::vector<float> ref_gather(n * static_cast<std::size_t>(P));
-    comm.all_gather(iota_data(comm.rank(), n), ref_gather);
-    std::vector<float> big =
-        iota_data(comm.rank(), n * static_cast<std::size_t>(P));
-    std::vector<float> ref_scatter(n);
-    comm.reduce_scatter(big, ref_scatter);
-    std::vector<float> ref_bcast = iota_data(2, n);
-
-    std::vector<float> a = iota_data(comm.rank(), n);
-    std::vector<float> g_send = iota_data(comm.rank(), n);
-    std::vector<float> g(n * static_cast<std::size_t>(P));
-    std::vector<float> s_send = big;
-    std::vector<float> s(n);
-    std::vector<float> b =
-        comm.rank() == 2 ? iota_data(2, n) : std::vector<float>(n, -1.0f);
-
-    CommFuture fa = async.iall_reduce(a);
-    CommFuture fg = async.iall_gather(g_send, g);
-    CommFuture fs = async.ireduce_scatter(s_send, s);
-    CommFuture fb = async.ibroadcast(b, /*root=*/2);
-    fa.wait();
-    fg.wait();
-    fs.wait();
-    fb.wait();
-
-    ASSERT_EQ(a, ref_reduce);
-    ASSERT_EQ(g, ref_gather);
-    ASSERT_EQ(s, ref_scatter);
-    ASSERT_EQ(b, ref_bcast);
+      std::vector<float> got(n * P, -1.0f);
+      CommFuture f = async.iall_gather(send, got);
+      f.wait();
+      ASSERT_EQ(got, ref) << "n=" << n;
+    }
   });
 }
 
@@ -64,24 +41,27 @@ TEST(AsyncCollectives, ManyInFlightWaitedOutOfOrder) {
   world.run([](Communicator& comm) {
     AsyncCommunicator async(comm);
     constexpr int kOps = 8;
-    std::vector<std::vector<float>> bufs;
-    bufs.reserve(kOps);
+    std::vector<std::vector<float>> sends;
+    std::vector<std::vector<float>> recvs;
+    sends.reserve(kOps);
+    recvs.reserve(kOps);
     std::vector<CommFuture> futs;
     for (int i = 0; i < kOps; ++i) {
-      bufs.push_back({static_cast<float>(comm.rank() + i), 1.0f});
-      futs.push_back(async.iall_reduce(bufs.back()));
+      sends.push_back({static_cast<float>(comm.rank() + i), 1.0f});
+      recvs.emplace_back(2 * static_cast<std::size_t>(comm.size()));
+      futs.push_back(async.iall_gather(sends.back(), recvs.back()));
     }
     // Waiting newest-first must still observe every op's exact result:
     // completion is FIFO internally, wait order is the caller's business.
     for (int i = kOps - 1; i >= 0; --i) {
       futs[static_cast<std::size_t>(i)].wait();
-      ASSERT_EQ(bufs[static_cast<std::size_t>(i)][0],
-                3.0f + 3.0f * static_cast<float>(i));
-      ASSERT_EQ(bufs[static_cast<std::size_t>(i)][1], 3.0f);
+      const auto& r = recvs[static_cast<std::size_t>(i)];
+      for (int src = 0; src < comm.size(); ++src) {
+        ASSERT_EQ(r[2 * static_cast<std::size_t>(src)],
+                  static_cast<float>(src + i));
+        ASSERT_EQ(r[2 * static_cast<std::size_t>(src) + 1], 1.0f);
+      }
     }
-    ASSERT_EQ(async.in_flight(), 0u);
-    ASSERT_EQ(async.stats().calls_of(CollectiveKind::kAllReduce),
-              static_cast<std::uint64_t>(kOps));
   });
 }
 
@@ -90,12 +70,13 @@ TEST(AsyncCollectives, SyncCollectiveIsEagerAndBitIdenticalToAsync) {
   world.run([](Communicator& comm) {
     SyncCollective sync(comm);
     AsyncCommunicator async(comm);
-    std::vector<float> via_sync = iota_data(comm.rank(), 33);
-    std::vector<float> via_async = via_sync;
-    CommFuture fs = sync.iall_reduce(via_sync);
+    const std::vector<float> send = iota_data(comm.rank(), 33);
+    std::vector<float> via_sync(send.size() * 4);
+    std::vector<float> via_async(send.size() * 4);
+    CommFuture fs = sync.iall_gather(send, via_sync);
     ASSERT_TRUE(fs.ready());  // the oracle completes at issue time
     fs.wait();
-    CommFuture fa = async.iall_reduce(via_async);
+    CommFuture fa = async.iall_gather(send, via_async);
     fa.wait();
     for (std::size_t i = 0; i < via_sync.size(); ++i)
       ASSERT_EQ(via_sync[i], via_async[i]);
@@ -112,29 +93,11 @@ TEST(AsyncCollectives, OpFailureSurfacesAtWaitAndLaneKeepsServing) {
     EXPECT_THROW(bad.wait(), Error);
     // The failed op never reached a rendezvous (it threw validating its
     // arguments), so the shadow group is intact and later ops still work.
-    std::vector<float> ok{static_cast<float>(comm.rank())};
-    CommFuture good = async.iall_reduce(ok);
+    const std::vector<float> mine{static_cast<float>(comm.rank())};
+    std::vector<float> all(2);
+    CommFuture good = async.iall_gather(mine, all);
     good.wait();
-    ASSERT_EQ(ok[0], 1.0f);
-  });
-}
-
-TEST(AsyncCollectives, DrainQuiescesWithoutConsumingFutures) {
-  World world(2);
-  world.run([](Communicator& comm) {
-    AsyncCommunicator async(comm);
-    std::vector<float> a{static_cast<float>(comm.rank()), 2.0f};
-    std::vector<float> b{3.0f, static_cast<float>(comm.rank())};
-    CommFuture fa = async.iall_reduce(a);
-    CommFuture fb = async.iall_reduce(b);
-    async.drain();
-    ASSERT_EQ(async.in_flight(), 0u);
-    ASSERT_TRUE(fa.ready());
-    ASSERT_TRUE(fb.ready());
-    fa.wait();
-    fb.wait();
-    ASSERT_EQ(a[0], 1.0f);
-    ASSERT_EQ(b[1], 1.0f);
+    ASSERT_EQ(all, (std::vector<float>{0.0f, 1.0f}));
   });
 }
 
@@ -150,11 +113,16 @@ TEST(AsyncCollectives, ExactUnderFaultyWorldSchedules) {
   world.run([](Communicator& comm) {
     AsyncCommunicator async(comm);
     for (int round = 0; round < 4; ++round) {
-      std::vector<float> d{static_cast<float>(comm.rank() + round), 7.0f};
-      CommFuture f = async.iall_reduce(d);
+      const std::vector<float> d{static_cast<float>(comm.rank() + round),
+                                 7.0f};
+      std::vector<float> all(8);
+      CommFuture f = async.iall_gather(d, all);
       f.wait();
-      ASSERT_EQ(d[0], 6.0f + 4.0f * static_cast<float>(round));
-      ASSERT_EQ(d[1], 28.0f);
+      for (int src = 0; src < 4; ++src) {
+        ASSERT_EQ(all[2 * static_cast<std::size_t>(src)],
+                  static_cast<float>(src + round));
+        ASSERT_EQ(all[2 * static_cast<std::size_t>(src) + 1], 7.0f);
+      }
     }
   });
   // The plan must actually have fired (delays and/or retries injected) —

@@ -165,6 +165,48 @@ TEST(DchagFrontEnd, ForwardUsesExactlyOneAllGather) {
   });
 }
 
+TEST(DchagFrontEnd, ChunkCountSweepMatchesOneChunkSyncForward) {
+  // Every pipeline depth in both comm modes is bitwise the same forward as
+  // one chunk on the sync lane: chunking splits the batch only, and every
+  // kernel computes a batch row the same way whatever its neighbours.
+  // K = 2 and 3 do not divide B, K = B + 3 must clamp to B. The sync lane
+  // issues one AllGather per chunk (none on one rank).
+  ModelConfig cfg = tiny();
+  const tensor::Index C = 8;
+  const tensor::Index B = 5;
+  Tensor img = Rng(12).normal_tensor(Shape{B, C, 16, 16});
+  for (int P : {1, 2, 4}) {
+    World world(P);
+    world.run([&](parallel::Communicator& comm) {
+      autograd::NoGradGuard no_grad;
+      Rng rng(1313);
+      DchagFrontEnd fe(cfg, C, comm, {1, model::AggLayerKind::kLinear}, rng);
+      Tensor local = fe.slice_local_channels(img);
+      auto run = [&](comm::CommMode mode, int chunks) {
+        runtime::Scope scope(runtime::ContextPatch::with_comm(
+            comm::CommConfig{mode, chunks}));
+        comm.reset_stats();
+        Tensor out = fe.forward(local).value();
+        EXPECT_EQ(out.shape(), (Shape{B, cfg.seq_len(), cfg.embed_dim}));
+        return out;
+      };
+      const Tensor ref = run(comm::CommMode::kSync, 1);
+      for (int K : {1, 2, 3, static_cast<int>(B), static_cast<int>(B) + 3}) {
+        const auto clamped = static_cast<std::uint64_t>(std::min<int>(K, B));
+        const Tensor sync_out = run(comm::CommMode::kSync, K);
+        ASSERT_EQ(comm.stats().calls_of(CollectiveKind::kAllGather),
+                  P > 1 ? clamped : 0u)
+            << "K=" << K << " P=" << P;
+        const Tensor async_out = run(comm::CommMode::kAsync, K);
+        ASSERT_EQ(ops::max_abs_diff(sync_out, async_out), 0.0f)
+            << "K=" << K << " P=" << P << " rank " << comm.rank();
+        ASSERT_EQ(ops::max_abs_diff(sync_out, ref), 0.0f)
+            << "K=" << K << " P=" << P << " rank " << comm.rank();
+      }
+    });
+  }
+}
+
 TEST(DchagFrontEnd, GradientsMatchSingleDeviceReference) {
   ModelConfig cfg = tiny();
   const tensor::Index C = 4;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/fault.hpp"
+
 namespace dchag::parallel {
 namespace {
 
@@ -82,6 +84,34 @@ TEST(AllGatherCat, ReduceScatterBackwardSumsRankContributions) {
     // Rank 0 contributes 1, rank 1 contributes 2 at every slice -> 3.
     for (float gr : x.grad().span()) ASSERT_EQ(gr, 3.0f);
   });
+}
+
+TEST(PendingGatherCat, DroppedHandleWaitsOutItsGather) {
+  // A handle destroyed before wait() — as when an exception unwinds the
+  // D-CHAG chunk loop with a gather in flight — must keep its receive
+  // buffer and pinned input alive until the progress thread is done with
+  // them. Edge delays hold every gather back long enough that the drop
+  // happens mid-flight; the second gather on the same lane must be exact.
+  comm::FaultSpec spec;
+  spec.seed = 5;
+  spec.min_edge_delay_us = 20000;
+  spec.max_edge_delay_us = 30000;
+  comm::FaultyWorld world(2, spec);
+  world.run([](Communicator& comm) {
+    comm::AsyncCommunicator async(comm);
+    const auto mine = static_cast<float>(comm.rank() + 1);
+    {
+      Variable x = Variable::input(Tensor(Shape{1, 64}, mine));
+      PendingGatherCat dropped = all_gather_cat_start(x, async, /*dim=*/0);
+    }
+    Variable y = Variable::input(Tensor(Shape{1, 8}, 10.0f * mine));
+    Variable g = all_gather_cat_start(y, async, /*dim=*/0).wait();
+    ASSERT_EQ(g.shape(), (Shape{2, 8}));
+    for (int r = 0; r < 2; ++r)
+      for (tensor::Index i = 0; i < 8; ++i)
+        ASSERT_EQ(g.value().at({r, i}), 10.0f * static_cast<float>(r + 1));
+  });
+  ASSERT_GT(world.plan().injected_delay_us(), 0u);
 }
 
 TEST(SyncParameters, BroadcastsFromRoot) {

@@ -111,22 +111,22 @@ TEST(ScopePropagation, AsyncProgressThreadInheritsIssuerContext) {
   world.run([](comm::Communicator& comm) {
     comm::AsyncCommunicator async(comm);
     auto sink = std::make_shared<RecordingSink>();
-    std::vector<float> data(64, 1.0f);
+    const std::vector<float> data(64, 1.0f);
+    std::vector<float> gathered(128);
     {
       ContextPatch patch;
       patch.kernels = tensor::KernelConfig{KernelBackend::kNaive, 0};
       patch.tracing = std::shared_ptr<TraceSink>(sink);
       Scope scope(patch);
-      comm::CommFuture fut = async.iall_reduce(std::span<float>(data));
+      comm::CommFuture fut = async.iall_gather(data, gathered);
       fut.wait();
     }
-    async.drain();
 
     const auto entries = sink->entries();
     ASSERT_EQ(entries.size(), 1u)
         << "the issuer's sink must observe the async op";
     EXPECT_EQ(entries[0].key, "comm.async.op.bytes");
-    EXPECT_EQ(entries[0].value, 64.0 * sizeof(float));
+    EXPECT_EQ(entries[0].value, 128.0 * sizeof(float));
     // The op ran on the progress thread, not the issuing rank thread —
     // and that thread observed the issuer's kernel override.
     EXPECT_NE(entries[0].thread, std::this_thread::get_id());
@@ -139,12 +139,14 @@ TEST(ScopePropagation, SyncCollectiveLeavesIssuerScopeUntouched) {
   comm::World world(2);
   world.run([](comm::Communicator& comm) {
     comm::SyncCollective sync(comm);
-    std::vector<float> data(8, static_cast<float>(comm.rank()));
+    const std::vector<float> data(8, static_cast<float>(comm.rank()));
+    std::vector<float> gathered(16);
     Scope scope(ContextPatch::with_kernels({KernelBackend::kBlocked, 0}));
-    comm::CommFuture fut = sync.iall_reduce(std::span<float>(data));
+    comm::CommFuture fut = sync.iall_gather(data, gathered);
     fut.wait();
     EXPECT_EQ(active_kernel_config().backend, KernelBackend::kBlocked);
-    EXPECT_EQ(data[0], 1.0f);  // 0 + 1
+    EXPECT_EQ(gathered[0], 0.0f);  // rank 0's block, then rank 1's
+    EXPECT_EQ(gathered[8], 1.0f);
   });
 }
 
