@@ -78,13 +78,27 @@ Variable DchagFrontEnd::forward_local_partial(const Tensor& images) const {
   // (thread-local, so concurrent ranks don't fight over the process
   // default, and pool workers inherit it across the fan-out).
   runtime::Scope scope(effective_context());
+  check_local_input(images);
+  return local_partial(images, model::detail::all_slots(local_channels()));
+}
+
+void DchagFrontEnd::check_local_input(const Tensor& images) const {
   DCHAG_CHECK(images.rank() == 4 && images.dim(1) == local_channels(),
               "DchagFrontEnd expects the rank-local channel slice [B, "
                   << local_channels() << ", H, W], got "
                   << images.shape().to_string());
-  Variable tokens = tokenizer_->forward_local(images);      // [B, Cl, S, D]
-  Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [B, S, Cl, D]
-  return tree_->forward(bscd);                              // [B, S, D]
+}
+
+Variable DchagFrontEnd::local_partial(
+    const Tensor& images, const std::vector<Index>& positions) const {
+  if (positions.empty()) {  // owns none of the channels: a zero placeholder
+    return Variable::input(
+        Tensor(Shape{images.dim(0), cfg_.seq_len(), cfg_.embed_dim}, 0.0f));
+  }
+  Variable tokens = tokenizer_->local_tokenizer().forward_at_positions(
+      images, positions);                                   // [B, W, S, D]
+  Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [B, S, W, D]
+  return tree_->forward_subset(bscd, positions);            // [B, S, D]
 }
 
 comm::ICollective& DchagFrontEnd::collective_for(comm::CommMode mode) const {
@@ -98,25 +112,97 @@ Variable DchagFrontEnd::forward(const Tensor& images) const {
   // ops on pool workers) runs under it.
   const runtime::Context ctx = effective_context();
   runtime::Scope scope(ctx);
-  DCHAG_CHECK(images.rank() == 4 && images.dim(1) == local_channels(),
-              "DchagFrontEnd expects the rank-local channel slice [B, "
-                  << local_channels() << ", H, W], got "
+  check_local_input(images);
+  // K micro-chunks of the batch; an empty batch is one empty chunk.
+  const comm::CommConfig cc = ctx.comm();
+  const Index K = std::clamp<Index>(cc.pipeline_chunks, 1,
+                                    std::max<Index>(images.dim(0), 1));
+  runtime::trace(ctx, "core.forward.pipeline_chunks",
+                 static_cast<double>(K));
+  return run_chunks(images, model::detail::all_slots(local_channels()),
+                    model::detail::all_slots(comm_->size()), cc.mode, K);
+}
+
+Variable DchagFrontEnd::forward_subset(
+    const Tensor& images, std::span<const Index> channels) const {
+  runtime::Scope scope(effective_context());
+  DCHAG_CHECK(images.rank() == 4 &&
+                  images.dim(1) == static_cast<Index>(channels.size()),
+              "forward_subset expects the full subset batch [B, "
+                  << channels.size() << ", H, W], got "
                   << images.shape().to_string());
+  // Validate the ids up front, before any rank-dependent branching: every
+  // rank sees the identical list and slot map, so a malformed request
+  // throws uniformly on all ranks and none of them reaches the AllGather
+  // (one rank gathering while another throws is a deadlock, not an error).
+  DCHAG_CHECK(!channels.empty(), "forward_subset needs at least one channel");
+  Index prev = -1;
+  for (Index c : channels) {
+    DCHAG_CHECK(c > prev && c < total_channels(),
+                "subset channel ids must be strictly increasing in [0, "
+                    << total_channels() << ")");
+    prev = c;
+  }
+  // The group ranks whose channel slot owns requested ids. Slots are the
+  // ORIGINAL partition slots, so after a survivor rebind the final
+  // aggregation sees the same kept reps in the same slots as the
+  // full-world subset forward would: dropped ranks look exactly like
+  // empty-intersection ranks, which is what makes degraded serving
+  // bit-exact on the surviving channels.
+  const Index c_local = local_channels();
+  const auto slot_ids = [&](int r) {
+    const Index lo =
+        static_cast<Index>(logical_slots_[static_cast<std::size_t>(r)]) *
+        c_local;
+    const auto first = std::lower_bound(channels.begin(), channels.end(), lo);
+    return std::span<const Index>(
+        first, std::lower_bound(first, channels.end(), lo + c_local));
+  };
+  std::vector<Index> kept;
+  for (int r = 0; r < comm_->size(); ++r)
+    if (!slot_ids(r).empty()) kept.push_back(r);
+  DCHAG_CHECK(!kept.empty(),
+              "no rank of this group carries any requested channel");
+
+  // This rank's slice of the subset (sorted ids make it contiguous), as
+  // one chunk on the sync lane.
+  const std::span<const Index> mine = slot_ids(comm_->rank());
+  const Tensor local =
+      mine.empty() ? images
+                   : ops::slice(images, 1, mine.data() - channels.data(),
+                                static_cast<Index>(mine.size()));
+  return run_chunks(local, tokenizer_->local_tokenizer().local_positions(mine),
+                    kept, comm::CommMode::kSync, 1);
+}
+
+Variable DchagFrontEnd::run_chunks(const Tensor& images,
+                                   const std::vector<Index>& positions,
+                                   const std::vector<Index>& kept,
+                                   comm::CommMode mode, Index K) const {
   const Index B = images.dim(0);
   const Index S = cfg_.seq_len();
   const Index D = cfg_.embed_dim;
   const int P = comm_->size();
-
-  // K micro-chunks of the batch; an empty batch is one empty chunk.
-  const comm::CommConfig cc = ctx.comm();
-  const Index K = std::clamp<Index>(cc.pipeline_chunks, 1,
-                                    std::max<Index>(B, 1));
-  runtime::trace(ctx, "core.forward.pipeline_chunks",
-                 static_cast<double>(K));
   // A lone chunk has no compute to hide its gather behind, so it takes the
   // sync lane in either mode and never builds the async progress lane.
   comm::ICollective& coll =
-      K > 1 && P > 1 ? collective_for(cc.mode) : *sync_coll_;
+      K > 1 && P > 1 ? collective_for(mode) : *sync_coll_;
+
+  // 4. The replicated cross-attention over the kept ranks' representations:
+  // the gathered tensor whole when every rank is kept, else the kept ranks'
+  // slices at their channel-partition slots.
+  const auto fuse = [&](const Variable& gathered) {
+    if (static_cast<int>(kept.size()) == P) return final_->forward(gathered);
+    std::vector<Variable> parts;
+    std::vector<Index> kept_slots;
+    for (Index r : kept) {
+      parts.push_back(autograd::slice(gathered, 2, r, 1));
+      kept_slots.push_back(logical_slots_[static_cast<std::size_t>(r)]);
+    }
+    return final_->forward_subset(
+        parts.size() == 1 ? parts.front() : autograd::concat(parts, 2),
+        kept_slots);
+  };
 
   // Software pipeline over K batch micro-chunks with two gather slots:
   //
@@ -138,7 +224,7 @@ Variable DchagFrontEnd::forward(const Tensor& images) const {
   auto combine = [&](std::size_t s) {
     Variable gathered = slots[s]->wait();  // [b, S, P, D]
     slots[s].reset();  // free the receive buffer before the final layer runs
-    outs[static_cast<std::size_t>(slot_chunk[s])] = final_->forward(gathered);
+    outs[static_cast<std::size_t>(slot_chunk[s])] = fuse(gathered);
   };
 
   const Index base = B / K;
@@ -149,13 +235,13 @@ Variable DchagFrontEnd::forward(const Tensor& images) const {
     const auto s = static_cast<std::size_t>(k % 2);
     if (slots[s]) combine(s);  // retire chunk k-2 before re-arming its slot
     // 1-2. Local tokenization + partial aggregation to one representation.
-    Variable partial = forward_local_partial(images.slice0(off, len));
+    Variable partial = local_partial(images.slice0(off, len), positions);
     Variable as_channel = autograd::reshape(partial, Shape{len, S, 1, D});
     off += len;
-    // 3-4. With one rank there is nothing to gather: the final
+    // 3. With one rank there is nothing to gather: the final
     // cross-attention runs over the lone representation directly.
     if (P == 1) {
-      outs[static_cast<std::size_t>(k)] = final_->forward(as_channel);
+      outs[static_cast<std::size_t>(k)] = fuse(as_channel);
       continue;
     }
     slots[s].emplace(
@@ -167,101 +253,6 @@ Variable DchagFrontEnd::forward(const Tensor& images) const {
     if (slots[s]) combine(s);
   }
   return K == 1 ? outs.front() : autograd::concat(outs, 0);  // [B, S, D]
-}
-
-Variable DchagFrontEnd::forward_subset(
-    const Tensor& images, std::span<const Index> channels) const {
-  runtime::Scope scope(effective_context());
-  DCHAG_CHECK(images.rank() == 4 &&
-                  images.dim(1) == static_cast<Index>(channels.size()),
-              "forward_subset expects the full subset batch [B, "
-                  << channels.size() << ", H, W], got "
-                  << images.shape().to_string());
-  // Validate the ids up front, before any rank-dependent branching: every
-  // rank sees the identical list, so malformed requests throw uniformly
-  // on all ranks and the collective call sequence stays symmetric
-  // (otherwise a rank with no intersection would sail into the AllGather
-  // while another throws — a deadlock, not an error).
-  Index prev = -1;
-  for (Index c : channels) {
-    DCHAG_CHECK(c > prev && c < total_channels(),
-                "subset channel ids must be strictly increasing in [0, "
-                    << total_channels() << ")");
-    prev = c;
-  }
-  const Index B = images.dim(0);
-  const Index S = cfg_.seq_len();
-  const Index D = cfg_.embed_dim;
-  const Index c_local = local_channels();
-  const int P = comm_->size();
-
-  // This rank's slice of the subset: global ids in
-  // [slot*c_local, (slot+1)*c_local), where slot is the original
-  // channel-partition slot this rank carries (== rank until a rebind
-  // remaps a survivor group). Sorted ids make it contiguous.
-  const Index lo =
-      static_cast<Index>(
-          logical_slots_[static_cast<std::size_t>(comm_->rank())]) *
-      c_local;
-  const Index hi = lo + c_local;
-  Index first = 0;
-  Index count = 0;
-  std::vector<Index> mine;
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (channels[i] < lo) first = static_cast<Index>(i) + 1;
-    if (channels[i] >= lo && channels[i] < hi) {
-      mine.push_back(channels[i]);
-      ++count;
-    }
-  }
-
-  // Partial aggregation of the local intersection (or a zero placeholder
-  // for ranks that own none of the requested channels).
-  Variable partial;
-  if (count > 0) {
-    Tensor local = ops::slice(images, 1, first, count);
-    const std::vector<Index> positions =
-        tokenizer_->local_tokenizer().local_positions(mine);
-    Variable tokens =
-        tokenizer_->local_tokenizer().forward_at_positions(local, positions);
-    Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});
-    partial = tree_->forward_subset(bscd, positions);
-  } else {
-    partial = autograd::Variable::input(Tensor(Shape{B, S, D}, 0.0f));
-  }
-
-  Variable as_channel = autograd::reshape(partial, Shape{B, S, 1, D});
-  Variable gathered =
-      P == 1 ? as_channel
-             : parallel::all_gather_cat_start(as_channel, *sync_coll_,
-                                              /*dim=*/2)
-                   .wait();
-
-  // Keep only the representations of ranks that actually own subset
-  // channels (deterministic from `channels`, so all ranks agree). Slot
-  // ids are the ORIGINAL partition slots, so after a survivor rebind the
-  // final aggregation sees the same kept reps in the same slots as the
-  // full-world subset forward would — dropped ranks look exactly like
-  // empty-intersection ranks, which is what makes degraded serving
-  // bit-exact on the surviving channels.
-  std::vector<Variable> kept;
-  std::vector<Index> slots;
-  for (int r = 0; r < P; ++r) {
-    const Index slot =
-        static_cast<Index>(logical_slots_[static_cast<std::size_t>(r)]);
-    const Index rlo = slot * c_local;
-    bool has = false;
-    for (Index c : channels)
-      if (c >= rlo && c < rlo + c_local) { has = true; break; }
-    if (has) {
-      kept.push_back(autograd::slice(gathered, 2, static_cast<Index>(r), 1));
-      slots.push_back(slot);
-    }
-  }
-  DCHAG_CHECK(!kept.empty(), "subset maps to no rank — empty channel list?");
-  Variable participants =
-      kept.size() == 1 ? kept.front() : autograd::concat(kept, 2);
-  return final_->forward_subset(participants, slots);
 }
 
 Tensor DchagFrontEnd::slice_local_channels(const Tensor& full_images) const {

@@ -14,6 +14,11 @@
 // replicated parameters stay in sync without gradient synchronisation and
 // the rank-local tokenizer/tree parameters train on purely local
 // gradients: no communication in the backward pass.
+//
+// Serving a channel subset (paper §2.1) runs the same four steps over
+// fewer channels, through the same code: forward() and forward_subset()
+// share one chunk loop with one gather site. The full forward is the
+// case where every local channel is present and every rank is kept.
 #pragma once
 
 #include <optional>
@@ -70,11 +75,15 @@ class DchagFrontEnd : public model::FrontEnd {
 
   /// Distributed channel-subset inference (paper §2.1 under §3.3's layout):
   /// unlike forward(), every rank receives the FULL subset batch
-  /// [B, W, H, W] (W == channels.size(), strictly increasing global ids)
+  /// [B, N, H, W] (N == channels.size(), strictly increasing global ids)
   /// and slices its own intersection internally. Ranks owning none of the
   /// subset contribute a zero placeholder to the AllGather (collectives
   /// must stay symmetric) which is dropped before the final aggregation,
-  /// so the result matches the subset-only math on every rank.
+  /// so the result matches the subset-only math on every rank. The ids
+  /// (an empty list included) are validated on every rank before any
+  /// collective. Runs the forward() loop as one chunk on the sync lane, so
+  /// it never builds the async lane (a collective split); with every
+  /// channel requested it computes exactly forward()'s output.
   [[nodiscard]] autograd::Variable forward_subset(
       const tensor::Tensor& images,
       std::span<const Index> channels) const override;
@@ -140,6 +149,26 @@ class DchagFrontEnd : public model::FrontEnd {
   /// all ranks must take their first pipelined async forward together, the
   /// usual symmetric-SPMD contract.
   [[nodiscard]] comm::ICollective& collective_for(comm::CommMode mode) const;
+
+  void check_local_input(const tensor::Tensor& images) const;
+
+  /// Steps 1-2 on `images` [B, N, H, W], whose N slabs are the local
+  /// tokenizer's `positions` (also the partial tree's slots) -> [B, S, D].
+  /// No positions (a rank owning none of the requested channels) gives a
+  /// zero placeholder; only the batch size of `images` is read then.
+  [[nodiscard]] autograd::Variable local_partial(
+      const tensor::Tensor& images, const std::vector<Index>& positions) const;
+
+  /// The one D-CHAG forward behind forward() and forward_subset(): K batch
+  /// micro-chunks of steps 1-2 (local_partial), each with one AllGather
+  /// double-buffered against the next chunk's compute (on the `mode` lane
+  /// when K > 1, else the sync lane), then step 4 over the `kept` group
+  /// ranks' representations. Every rank kept feeds the gathered tensor to
+  /// the final cross-attention whole; otherwise the kept ranks are sliced
+  /// out and fused at their channel-partition slots.
+  [[nodiscard]] autograd::Variable run_chunks(
+      const tensor::Tensor& images, const std::vector<Index>& positions,
+      const std::vector<Index>& kept, comm::CommMode mode, Index K) const;
 
   ModelConfig cfg_;
   Communicator* comm_;

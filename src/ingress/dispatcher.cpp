@@ -42,13 +42,25 @@ std::string exe_dir() {
   return slash == std::string::npos ? std::string() : path.substr(0, slash);
 }
 
-/// Why a model of `channels` input channels behind rings of `max_floats`
-/// payload floats cannot serve `req`; empty when it can.
-std::string unservable(const InferRequest& req, Index channels,
+/// Why a model of geometry `model` over `channels` input channels, behind
+/// rings of `max_floats` payload floats, cannot serve `req`; empty when
+/// it can.
+std::string unservable(const InferRequest& req,
+                       const model::ModelConfig& model, Index channels,
                        std::uint64_t max_floats) {
   if (static_cast<std::uint64_t>(req.images.numel()) > max_floats)
     return "sample exceeds the ring payload budget";
+  const Index h = req.images.dim(1);
+  const Index w = req.images.dim(2);
+  if (h != model.image_h || w != model.image_w)
+    return "image " + std::to_string(h) + "x" + std::to_string(w) +
+           " is not the model's " + std::to_string(model.image_h) + "x" +
+           std::to_string(model.image_w);
   const std::vector<Index>& ids = req.channels;
+  if (ids.empty() && req.images.dim(0) != channels)
+    return std::to_string(req.images.dim(0)) +
+           " image channels for a full request to a " +
+           std::to_string(channels) + "-channel model";
   if (!ids.empty() && static_cast<Index>(ids.size()) != req.images.dim(0))
     return std::to_string(ids.size()) + " channel ids for " +
            std::to_string(req.images.dim(0)) + " image channels";
@@ -151,7 +163,9 @@ std::unique_ptr<Ingress::Worker> Ingress::spawn_worker() {
 }
 
 Ingress::Ingress(IngressConfig cfg, const runtime::Context& ctx)
-    : cfg_(std::move(cfg)), ctx_(ctx.effective()) {
+    : cfg_(std::move(cfg)),
+      ctx_(ctx.effective()),
+      model_cfg_(cfg_.model.config()) {
   DCHAG_CHECK(cfg_.min_workers >= 1 && cfg_.max_workers >= cfg_.min_workers,
               "Ingress needs 1 <= min_workers <= max_workers");
   DCHAG_CHECK(cfg_.queue_capacity >= 1, "Ingress needs queue_capacity >= 1");
@@ -289,8 +303,9 @@ void Ingress::handle_infer(const std::shared_ptr<Conn>& conn,
     send_error(conn, 0, e.code(), e.what());
     return;
   }
-  if (const std::string why = unservable(req, cfg_.model.channels,
-                                         cfg_.ring.max_payload_floats);
+  if (const std::string why =
+          unservable(req, model_cfg_, cfg_.model.channels,
+                     cfg_.ring.max_payload_floats);
       !why.empty()) {
     counters_.reject_bad();
     send_error(conn, req.id, ErrorCode::kBadRequest, why);

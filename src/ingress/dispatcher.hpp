@@ -178,6 +178,7 @@ class Ingress {
 
   IngressConfig cfg_;
   runtime::Context ctx_;
+  model::ModelConfig model_cfg_;  ///< cfg_.model.config()
   std::string worker_exe_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;

@@ -34,6 +34,11 @@ T parse_decimal(std::string_view field, T lo, const std::string& what) {
 
 }  // namespace
 
+model::ModelConfig ModelSpec::config() const {
+  return preset == "tiny" ? model::ModelConfig::tiny()
+                          : model::ModelConfig::preset(preset);
+}
+
 std::string ModelSpec::serialize() const {
   return preset + ":" + std::to_string(channels) + ":" +
          std::to_string(units);
@@ -57,9 +62,7 @@ ModelSpec ModelSpec::parse(const std::string& text) {
 
 std::unique_ptr<model::ForecastModel> build_model(const ModelSpec& spec,
                                                   std::uint64_t seed) {
-  const model::ModelConfig cfg = spec.preset == "tiny"
-                                     ? model::ModelConfig::tiny()
-                                     : model::ModelConfig::preset(spec.preset);
+  const model::ModelConfig cfg = spec.config();
   tensor::Rng rng(seed);
   auto agg = model::AggregationTree::with_units(
       cfg, model::AggLayerKind::kCrossAttention, spec.channels, spec.units,

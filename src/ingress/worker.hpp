@@ -44,6 +44,9 @@ struct ModelSpec {
   tensor::Index channels = 6;
   tensor::Index units = 2;  ///< first-level aggregation units (TreeN)
 
+  /// The preset's ModelConfig (ModelConfig::tiny() for "tiny"): the one
+  /// geometry both build_model and the dispatcher's admission read.
+  [[nodiscard]] model::ModelConfig config() const;
   [[nodiscard]] std::string serialize() const;
   /// Strict inverse of serialize(): a non-empty preset and two positive
   /// decimal integers, each field consumed whole. Anything else throws

@@ -62,13 +62,15 @@ class AggregationTree : public ChannelAggregator {
       const ModelConfig& cfg, AggLayerKind kind, Index channels, Index units,
       Rng& rng, const std::string& name = "tree");
 
-  /// tokens: [B, S, C, D] -> [B, S, D].
+  /// tokens: [B, S, C, D] -> [B, S, D]: forward_subset() with every slot
+  /// present.
   [[nodiscard]] Variable forward(const Variable& tokens) const override;
-  /// Partial-channel path (serving a channel subset, paper §2.1): each
+  /// The one level loop (serving a channel subset, paper §2.1): each
   /// token is routed to the unit owning its slot; units with no present
   /// slots are skipped, and the surviving group outputs propagate up the
   /// tree the same way. Because slots are sorted and groups own contiguous
-  /// slot ranges, every unit's inputs stay one contiguous slice.
+  /// slot ranges, every unit's inputs stay one contiguous slice; with
+  /// every slot present each level slices every group whole.
   [[nodiscard]] Variable forward_subset(
       const Variable& tokens, std::span<const Index> slots) const override;
   [[nodiscard]] Index width() const override { return channels_; }

@@ -1,6 +1,7 @@
 #include "model/attention.hpp"
 
 #include <cmath>
+#include <numeric>
 
 namespace dchag::model {
 
@@ -72,6 +73,12 @@ void check_subset_slots(std::span<const Index> slots, Index width,
                                                                    << ")");
     prev = s;
   }
+}
+
+std::vector<Index> all_slots(Index width) {
+  std::vector<Index> slots(static_cast<std::size_t>(width));
+  std::iota(slots.begin(), slots.end(), Index{0});
+  return slots;
 }
 
 }  // namespace detail
@@ -206,29 +213,29 @@ LinearAggregator::LinearAggregator(Index dim, Index channels, Rng& rng,
 }
 
 Variable LinearAggregator::forward(const Variable& tokens) const {
-  const auto& s = tokens.shape();
-  DCHAG_CHECK(s.rank() == 4 && s.dim(2) == channels_ && s.dim(3) == dim_,
-              "aggregator expects [B, S, " << channels_ << ", " << dim_
-                                           << "], got " << s.to_string());
-  Variable x = ln_->forward(tokens);
-  // Weighted channel combination: [C] -> [C, 1] broadcasts over D.
-  Variable w = autograd::reshape(combine_, tensor::Shape{channels_, 1});
-  Variable mixed = autograd::sum_dim(autograd::mul(x, w), 2);  // [B, S, D]
-  return proj_->forward(mixed);
+  return forward_subset(tokens, detail::all_slots(channels_));
 }
 
 Variable LinearAggregator::forward_subset(
     const Variable& tokens, std::span<const Index> slots) const {
-  check_subset_slots(slots, channels_, tokens.shape().dim(2));
+  const auto& s = tokens.shape();
+  DCHAG_CHECK(s.rank() == 4 && s.dim(3) == dim_,
+              "aggregator expects [B, S, W, " << dim_ << "], got "
+                                              << s.to_string());
+  check_subset_slots(slots, channels_, s.dim(2));
   const Index w_sub = static_cast<Index>(slots.size());
-  if (w_sub == channels_) return forward(tokens);
   Variable x = ln_->forward(tokens);
-  // Gather the present slots' combine weights (slot order == token order).
-  std::vector<Variable> parts;
-  parts.reserve(slots.size());
-  for (Index s : slots) parts.push_back(autograd::slice(combine_, 0, s, 1));
-  Variable w = parts.size() == 1 ? parts.front()
-                                 : autograd::concat(parts, 0);  // [W]
+  // The present slots' combine weights (slot order == token order); the
+  // full set mixes with the whole vector.
+  Variable w = combine_;
+  if (w_sub < channels_) {
+    std::vector<Variable> parts;
+    parts.reserve(slots.size());
+    for (Index slot : slots)
+      parts.push_back(autograd::slice(combine_, 0, slot, 1));
+    w = parts.size() == 1 ? parts.front() : autograd::concat(parts, 0);
+  }
+  // Weighted channel combination: [W] -> [W, 1] broadcasts over D.
   w = autograd::reshape(w, tensor::Shape{w_sub, 1});
   Variable mixed = autograd::sum_dim(autograd::mul(x, w), 2);  // [B, S, D]
   return proj_->forward(mixed);

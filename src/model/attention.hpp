@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "model/config.hpp"
 #include "tensor/module.hpp"
@@ -33,6 +34,9 @@ namespace detail {
 /// [0, width), one per token (ntokens == slots.size()).
 void check_subset_slots(std::span<const Index> slots, Index width,
                         Index ntokens);
+/// {0, 1, ..., width - 1}: the full channel set written as a subset, the
+/// slot list every full-width forward runs its subset path with.
+[[nodiscard]] std::vector<Index> all_slots(Index width);
 }  // namespace detail
 
 /// Standard multi-head self-attention over the last-but-one dimension:
@@ -66,8 +70,9 @@ class ChannelAggregator : public Module {
   /// Partial-channel inference (paper §2.1): `tokens` is [B, S, W, D] with
   /// W == slots.size(), and `slots` are the strictly increasing positions
   /// (in [0, width())) those tokens occupy in the full-width layout. The
-  /// base implementation only accepts the full set; width-agnostic or
-  /// slot-sliceable aggregators override.
+  /// full set computes exactly forward(). The base implementation only
+  /// accepts the full set; width-agnostic or slot-sliceable aggregators
+  /// override.
   [[nodiscard]] virtual Variable forward_subset(
       const Variable& tokens, std::span<const Index> slots) const;
 };
@@ -111,6 +116,9 @@ class CrossAttentionAggregator : public ChannelAggregator {
 /// convex-ish combination over the channel dimension followed by an output
 /// projection. Parameter cost is width + D^2 + D (vs 4 D^2 for
 /// cross-attention), which is why -L wins at scale (paper Fig. 9/13).
+/// forward() is forward_subset() over every slot: one body mixes with the
+/// whole combine vector for the full set and with the present slots'
+/// combine weights for a subset.
 class LinearAggregator : public ChannelAggregator {
  public:
   LinearAggregator(Index dim, Index channels, Rng& rng,
@@ -118,7 +126,8 @@ class LinearAggregator : public ChannelAggregator {
 
   /// tokens: [B, S, C, D] -> [B, S, D].
   [[nodiscard]] Variable forward(const Variable& tokens) const override;
-  /// Subsets mix with the combine weights of the present slots only.
+  /// tokens: [B, S, W, D] -> [B, S, D], mixed with the combine weights of
+  /// the present slots only.
   [[nodiscard]] Variable forward_subset(
       const Variable& tokens, std::span<const Index> slots) const override;
   [[nodiscard]] Index width() const override { return channels_; }

@@ -20,26 +20,17 @@ LocalFrontEnd::LocalFrontEnd(const ModelConfig& cfg, Index channels,
 }
 
 Variable LocalFrontEnd::forward(const Tensor& images) const {
-  Variable tokens = tokenizer_->forward(images);       // [B, C, S, D]
-  Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [B, S, C, D]
-  return agg_->forward(bscd);                          // [B, S, D]
-}
-
-Variable FrontEnd::forward_subset(const Tensor& images,
-                                  std::span<const Index> channels) const {
-  (void)images;
-  (void)channels;
-  DCHAG_FAIL("this front-end does not support channel-subset inference");
+  // The tokenizer owns ids 0..C-1, so every id is its own position.
+  return forward_subset(images, detail::all_slots(local_channels()));
 }
 
 Variable LocalFrontEnd::forward_subset(
     const Tensor& images, std::span<const Index> channels) const {
-  // One id->position mapping feeds both the tokenizer and the aggregator
-  // slots (identity positions for the usual 0..C-1 tokenizer).
+  // One id->position mapping feeds both the tokenizer and the aggregator.
   const std::vector<Index> positions = tokenizer_->local_positions(channels);
   Variable tokens = tokenizer_->forward_at_positions(images, positions);
   Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [B, S, W, D]
-  return agg_->forward_subset(bscd, positions);
+  return agg_->forward_subset(bscd, positions);             // [B, S, D]
 }
 
 std::unique_ptr<LocalFrontEnd> make_baseline_frontend(const ModelConfig& cfg,

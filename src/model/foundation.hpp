@@ -18,13 +18,13 @@ class FrontEnd : public Module {
  public:
   /// images: [B, C_local, H, W] -> [B, S, D].
   [[nodiscard]] virtual Variable forward(const Tensor& images) const = 0;
-  /// Channel-subset inference (paper §2.1): `images` is [B, W, H, W]
-  /// holding only the listed global channels (strictly increasing,
-  /// W == channels.size()); returns [B, S, D] aggregated from those
-  /// channels alone. Default: unsupported; serving-capable front-ends
-  /// override.
+  /// Channel-subset inference (paper §2.1): `images` is [B, N, H, W]
+  /// holding only the N listed global channels (strictly increasing,
+  /// N == channels.size()); returns [B, S, D] aggregated from those
+  /// channels alone. Every front-end runs forward() as the every-channel
+  /// case of this path.
   [[nodiscard]] virtual Variable forward_subset(
-      const Tensor& images, std::span<const Index> channels) const;
+      const Tensor& images, std::span<const Index> channels) const = 0;
   /// Channels this front-end consumes from the local input tensor.
   [[nodiscard]] virtual Index local_channels() const = 0;
   /// Extracts this front-end's input from the full [B, C, H, W] batch
@@ -37,7 +37,9 @@ class FrontEnd : public Module {
 
 /// Single-device front-end: full tokenizer + one aggregator (the paper's
 /// baseline when the aggregator is a single cross-attention layer, or the
-/// §3.2 hierarchical variant when it is an AggregationTree).
+/// §3.2 hierarchical variant when it is an AggregationTree). forward() is
+/// forward_subset() over channels 0..C-1: tokenize at the requested
+/// positions, then aggregate those slots.
 class LocalFrontEnd : public FrontEnd {
  public:
   LocalFrontEnd(const ModelConfig& cfg, Index channels,
@@ -137,8 +139,8 @@ class ForecastModel : public Module {
   [[nodiscard]] Variable predict(const Tensor& local_images,
                                  float lead_time = 1.0f) const;
 
-  /// Inference on a channel subset: `images` [B, W, H, W] carries only the
-  /// listed global channels (routed through the front-end's
+  /// Inference on a channel subset: `images` [B, N, H, W] carries only
+  /// the N listed global channels (routed through the front-end's
   /// partial-channel path). Returns pred [B, S, C_target * p^2].
   [[nodiscard]] Variable predict_subset(const Tensor& images,
                                         std::span<const Index> channels,

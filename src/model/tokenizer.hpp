@@ -49,8 +49,8 @@ class PatchTokenizer : public Module {
   [[nodiscard]] Variable forward(const Tensor& images) const;
 
   /// Tokenizes only the listed global channels (a strictly increasing
-  /// subsequence of channel_ids()). `images` is [B, W, H, W] holding those
-  /// channels in the same order; each is embedded with the weights of its
+  /// subsequence of channel_ids()). `images` is [B, N, H, W] holding those
+  /// N channels in the same order; each is embedded with the weights of its
   /// global id, so the result is bit-identical to the corresponding rows
   /// of a full forward(). Serving's channel-subset path (paper §2.1).
   [[nodiscard]] Variable forward_subset(
@@ -61,8 +61,8 @@ class PatchTokenizer : public Module {
   [[nodiscard]] std::vector<Index> local_positions(
       std::span<const Index> channels) const;
 
-  /// Tokenizes `images` [B, W, H, W] whose slabs correspond, in order, to
-  /// channel_ids()[positions[i]]. The shared core of forward() and
+  /// Tokenizes `images` [B, N, H, W] whose N slabs correspond, in order,
+  /// to channel_ids()[positions[i]]. The shared core of forward() and
   /// forward_subset(), public so subset callers can reuse an already
   /// computed local_positions() result instead of mapping twice.
   [[nodiscard]] Variable forward_at_positions(

@@ -24,7 +24,6 @@ struct ThreadState {
   std::optional<CommConfig> comm;
   std::optional<std::shared_ptr<const comm::FaultPlan>> fault_plan;
   std::optional<std::shared_ptr<TraceSink>> tracing;
-  std::optional<tensor::ThreadPool*> pool;
 };
 
 thread_local ThreadState t_state;
@@ -37,7 +36,6 @@ thread_local ThreadState t_state;
 std::once_flag g_env_once;
 std::atomic<KernelConfig> g_kernels_mirror{KernelConfig{}};
 std::atomic<CommConfig> g_comm_mirror{CommConfig{}};
-std::atomic<tensor::ThreadPool*> g_pool_mirror{nullptr};
 // Tracks (not stickily) whether the CURRENT process default carries a
 // sink; a thread's own scope sink is visible through t_state, so no
 // cross-thread flag is needed for scopes.
@@ -52,7 +50,6 @@ std::atomic<std::shared_ptr<const Context>>& default_slot() {
 void store_default(const Context& ctx) {
   g_kernels_mirror.store(ctx.kernels(), std::memory_order_relaxed);
   g_comm_mirror.store(ctx.comm(), std::memory_order_relaxed);
-  g_pool_mirror.store(ctx.pool(), std::memory_order_relaxed);
   g_default_has_tracing.store(ctx.tracing() != nullptr,
                               std::memory_order_relaxed);
   default_slot().store(std::make_shared<const Context>(ctx),
@@ -128,7 +125,6 @@ Context Context::effective() const {
   if (t_state.comm) out.comm_ = *t_state.comm;
   if (t_state.fault_plan) out.fault_plan_ = *t_state.fault_plan;
   if (t_state.tracing) out.tracing_ = *t_state.tracing;
-  if (t_state.pool) out.pool_ = *t_state.pool;
   return out;
 }
 
@@ -232,7 +228,7 @@ std::vector<Context::EnvEntry> Context::to_env() const {
   // The exact inverse of from_env() for the fields it reads: exporting
   // these entries into a child's environment makes from_env() there
   // reconstruct this context's kernel/comm configuration. Process-local
-  // fields (fault plan, trace sink, pool pointer) cannot cross an exec
+  // fields (fault plan, trace sink) cannot cross an exec
   // boundary and are deliberately absent.
   return {
       EnvEntry{"DCHAG_KERNEL", to_string(kernels_.backend)},
@@ -261,7 +257,7 @@ Context Context::from_env(EnvReport* report) {
 
 Scope::Scope(const Context& ctx)
     : Scope(ContextPatch{ctx.kernels(), ctx.comm(), ctx.fault_plan(),
-                         ctx.tracing(), ctx.pool()}) {}
+                         ctx.tracing()}) {}
 
 Scope::Scope(const ContextPatch& patch) {
   if (patch.kernels) {
@@ -284,11 +280,6 @@ Scope::Scope(const ContextPatch& patch) {
     saved_.tracing = t_state.tracing;
     t_state.tracing = *patch.tracing;
   }
-  if (patch.pool) {
-    set_pool_ = true;
-    saved_.pool = t_state.pool;
-    t_state.pool = *patch.pool;
-  }
 }
 
 Scope::~Scope() {
@@ -298,7 +289,6 @@ Scope::~Scope() {
   if (set_comm_) t_state.comm = saved_.comm;
   if (set_fault_) t_state.fault_plan = saved_.fault_plan;
   if (set_tracing_) t_state.tracing = saved_.tracing;
-  if (set_pool_) t_state.pool = saved_.pool;
 }
 
 // ---------------------------------------------------------------------------
@@ -315,12 +305,6 @@ CommConfig active_comm_config() {
   if (t_state.comm) return *t_state.comm;
   ensure_env_default();
   return g_comm_mirror.load(std::memory_order_relaxed);
-}
-
-tensor::ThreadPool* active_pool_handle() {
-  if (t_state.pool) return *t_state.pool;
-  ensure_env_default();
-  return g_pool_mirror.load(std::memory_order_relaxed);
 }
 
 void trace_here(std::string_view key, double value) {

@@ -4,8 +4,8 @@
 // to be scattered across tensor::KernelConfig, comm::CommConfig,
 // DchagOptions, ServerConfig, LoopConfig, and SpmdEngineConfig:
 //
-//   * kernel backend + thread budget (and the ThreadPool handle kernels
-//     fan out on),
+//   * kernel backend + per-fan-out lane cap (kernels always fan out on
+//     the process-wide tensor::ThreadPool::global()),
 //   * comm mode + forward pipeline depth,
 //   * the fault-injection plan engines install on their World,
 //   * a Tracing/metrics sink every subsystem can emit into.
@@ -36,9 +36,6 @@
 #include <string_view>
 #include <vector>
 
-namespace dchag::tensor {
-class ThreadPool;
-}
 namespace dchag::comm {
 class FaultPlan;
 }
@@ -113,11 +110,6 @@ class Context {
   [[nodiscard]] const std::shared_ptr<TraceSink>& tracing() const {
     return tracing_;
   }
-  /// Pool kernels of this context fan out on; nullptr = the process-wide
-  /// tensor::ThreadPool::global() (resolved at use, not here, so runtime
-  /// stays below tensor in the dependency DAG).
-  [[nodiscard]] tensor::ThreadPool* pool() const { return pool_; }
-
   /// The calling thread's effective context: the process default overlaid
   /// with every active runtime::Scope (innermost field wins).
   [[nodiscard]] static Context current();
@@ -169,7 +161,7 @@ class Context {
   /// backend, threads, comm mode, pipeline chunks): entries a parent
   /// exports into a child process so the child's from_env()
   /// reconstructs this context. Process-local fields (fault plan, trace
-  /// sink, thread pool) do not survive exec and are not exported.
+  /// sink) do not survive exec and are not exported.
   [[nodiscard]] std::vector<EnvEntry> to_env() const;
 
   /// Fluent copy-and-modify: Context::current().to_builder().comm_mode(...)
@@ -182,7 +174,6 @@ class Context {
   CommConfig comm_{};
   std::shared_ptr<const comm::FaultPlan> fault_plan_;
   std::shared_ptr<TraceSink> tracing_;
-  tensor::ThreadPool* pool_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -228,10 +219,6 @@ class ContextBuilder {
     ctx_.tracing_ = std::move(sink);
     return *this;
   }
-  ContextBuilder& pool(tensor::ThreadPool* pool) {
-    ctx_.pool_ = pool;
-    return *this;
-  }
 
   [[nodiscard]] Context build() const { return ctx_; }
 
@@ -255,7 +242,6 @@ struct ContextPatch {
   std::optional<CommConfig> comm;
   std::optional<std::shared_ptr<const comm::FaultPlan>> fault_plan;
   std::optional<std::shared_ptr<TraceSink>> tracing;
-  std::optional<tensor::ThreadPool*> pool;
 
   [[nodiscard]] static ContextPatch with_kernels(KernelConfig cfg) {
     ContextPatch p;
@@ -265,12 +251,6 @@ struct ContextPatch {
   [[nodiscard]] static ContextPatch with_comm(CommConfig cfg) {
     ContextPatch p;
     p.comm = cfg;
-    return p;
-  }
-  [[nodiscard]] static ContextPatch with_tracing(
-      std::shared_ptr<TraceSink> sink) {
-    ContextPatch p;
-    p.tracing = std::move(sink);
     return p;
   }
 };
@@ -296,7 +276,6 @@ class Scope {
   bool set_comm_ = false;
   bool set_fault_ = false;
   bool set_tracing_ = false;
-  bool set_pool_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -310,9 +289,6 @@ class Scope {
 
 /// Effective comm config for the calling thread.
 [[nodiscard]] CommConfig active_comm_config();
-
-/// Effective pool handle (nullptr = process-global pool).
-[[nodiscard]] tensor::ThreadPool* active_pool_handle();
 
 /// Emits through the calling thread's effective sink. Cheap when no
 /// sink could observe this thread (a thread-local probe plus one

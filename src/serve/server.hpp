@@ -37,10 +37,9 @@ class Server {
   /// reach worker threads") is gone: workers inherit, always.
   ///
   /// Workers never get private pools: on the parallel backend all of
-  /// them fan out onto the context's ThreadPool (the process-wide pool
-  /// unless the context pins another), whose lane count is fixed no
-  /// matter how many workers run — batches queue instead of
-  /// oversubscribing cores.
+  /// them fan out onto the process-wide tensor::ThreadPool::global(),
+  /// whose lane count is fixed no matter how many workers run — batches
+  /// queue instead of oversubscribing cores.
   Server(InferenceFn infer, ServerConfig cfg,
          const runtime::Context& ctx = runtime::Context::current());
   /// Drains on destruction: closes the batcher, finishes parked work,

@@ -88,7 +88,7 @@ class SpmdEngine {
 
   /// Runs one batched forward across all ranks. `images` is the FULL batch
   /// [B, C, H, W] for full-channel requests (each rank takes its slice) or
-  /// the full subset batch [B, W, H, W] when `channels` names a subset.
+  /// the full subset batch [B, N, H, W] when `channels` names N channels.
   /// Serialized: concurrent callers queue on an internal mutex (the world
   /// is one SPMD pipeline). A forward that throws (e.g. an out-of-range
   /// channel id) rethrows here but leaves the world serving — model

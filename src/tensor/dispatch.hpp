@@ -16,7 +16,7 @@ namespace dchag::tensor {
 /// coarser units (rows, planes) divide by the unit's element count.
 inline constexpr Index kDispatchGrain = 1 << 15;
 
-/// Splits [0, n) over the active context's pool when the calling
+/// Splits [0, n) over the process-wide pool when the calling
 /// thread's backend is kParallel and the range spans at least two
 /// grains; otherwise runs fn(0, n) inline. fn must write disjoint
 /// outputs per index.
@@ -24,7 +24,8 @@ template <typename F>
 void dispatch_range(Index n, Index grain, F&& fn) {
   const KernelConfig cfg = kernel_config();
   if (cfg.backend == KernelBackend::kParallel && n >= 2 * grain) {
-    active_pool().parallel_for(n, grain, std::forward<F>(fn), cfg.threads);
+    ThreadPool::global().parallel_for(n, grain, std::forward<F>(fn),
+                                      cfg.threads);
   } else {
     fn(Index{0}, n);
   }

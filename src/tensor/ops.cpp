@@ -246,7 +246,7 @@ void gemm_rows(const GemmDims& d, const float* A, const float* B,
     const Index grain =
         std::max<Index>(1, (1 << 20) / std::max<Index>(1, 2 * N * K));
     if (cfg.backend == KernelBackend::kParallel) {
-      active_pool().parallel_for(rows, grain, run_rows, cfg.threads);
+      ThreadPool::global().parallel_for(rows, grain, run_rows, cfg.threads);
     } else {
       run_rows(0, rows);
     }

@@ -136,11 +136,6 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-ThreadPool& active_pool() {
-  ThreadPool* pool = runtime::active_pool_handle();
-  return pool != nullptr ? *pool : ThreadPool::global();
-}
-
 bool ThreadPool::in_parallel_region() { return t_in_parallel_region; }
 
 void ThreadPool::parallel_for(Index n, Index grain,

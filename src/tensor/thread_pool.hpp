@@ -32,7 +32,8 @@ class ThreadPool {
 
   /// Process-wide pool, sized on first use from the environment's
   /// thread budget (DCHAG_THREADS via Context::from_env()) minus the
-  /// caller lane; default: hardware_concurrency - 1. A Context's
+  /// caller lane; default: hardware_concurrency - 1. All kernel fan-out
+  /// (dispatch.hpp, ops.cpp) runs on it. A Context's
   /// KernelConfig::threads only CAPS individual parallel_fors — it
   /// never resizes this pool.
   static ThreadPool& global();
@@ -66,10 +67,5 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
   std::vector<std::thread> threads_;
 };
-
-/// The pool the calling thread's effective runtime::Context designates:
-/// Context::pool() when set, else the process-wide global() pool. All
-/// kernel fan-out (dispatch.hpp, ops.cpp) routes through here.
-[[nodiscard]] ThreadPool& active_pool();
 
 }  // namespace dchag::tensor

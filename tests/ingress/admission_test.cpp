@@ -86,17 +86,22 @@ TEST(Admission, MalformedChannelListsAreTypedBadRequests) {
   // Rejected at the door, before admission: no worker ever sees them.
   Client client(ingress.port());
   const auto expect_bad = [&](const std::vector<Index>& channels,
-                              Index slabs) {
+                              const Tensor& images) {
     try {
-      (void)client.infer(testutil::sample_image(77, slabs), channels);
-      ADD_FAILURE() << "accepted a malformed channel list";
+      (void)client.infer(images, channels);
+      ADD_FAILURE() << "accepted a request the model cannot serve";
     } catch (const IngressError& e) {
       EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << e.what();
     }
   };
-  expect_bad({2, 1}, 2);                    // not strictly increasing
-  expect_bad({0, testutil::kChannels}, 2);  // id past the model's channels
-  expect_bad({0, 2}, 3);                    // 2 ids for 3 image channels
+  const auto slabs = [](Index n) { return testutil::sample_image(77, n); };
+  expect_bad({2, 1}, slabs(2));                    // not strictly increasing
+  expect_bad({0, testutil::kChannels}, slabs(2));  // id past the channels
+  expect_bad({0, 2}, slabs(3));                    // 2 ids for 3 slabs
+  expect_bad({}, slabs(testutil::kChannels + 1));  // full, one slab too many
+  const Tensor big = tensor::Rng(79).normal_tensor(
+      tensor::Shape{testutil::kChannels, 32, 32});
+  expect_bad({}, big);  // a 32x32 image for a 16x16 model
 
   // The connection stays usable: a well-formed subset is served exactly.
   const Tensor images = testutil::sample_image(78, 2);
@@ -105,7 +110,7 @@ TEST(Admission, MalformedChannelListsAreTypedBadRequests) {
 
   ingress.drain();
   const Counters::Snapshot c = ingress.counters();
-  EXPECT_EQ(c.rejected_bad, 3u);
+  EXPECT_EQ(c.rejected_bad, 5u);
   EXPECT_EQ(c.worker_restarts, 0u);
   EXPECT_EQ(c.accepted, 1u);
 }

@@ -9,7 +9,6 @@
 
 #include "comm/fault.hpp"
 #include "tensor/kernel_config.hpp"
-#include "tensor/thread_pool.hpp"
 
 namespace dchag::runtime {
 namespace {
@@ -29,21 +28,18 @@ class ProcessDefaultGuard {
 
 TEST(ContextBuilder, BuildsAndRoundTripsEveryField) {
   auto plan = comm::make_fault_plan(comm::FaultSpec{}, 2);
-  tensor::ThreadPool pool(0);
   const Context ctx = ContextBuilder()
                           .kernel_backend(KernelBackend::kBlocked)
                           .threads(3)
                           .comm_mode(CommMode::kAsync)
                           .pipeline_chunks(6)
                           .fault_plan(plan)
-                          .pool(&pool)
                           .build();
   EXPECT_EQ(ctx.kernels().backend, KernelBackend::kBlocked);
   EXPECT_EQ(ctx.kernels().threads, 3);
   EXPECT_EQ(ctx.comm().mode, CommMode::kAsync);
   EXPECT_EQ(ctx.comm().pipeline_chunks, 6);
   EXPECT_EQ(ctx.fault_plan().get(), plan.get());
-  EXPECT_EQ(ctx.pool(), &pool);
 
   // to_builder copies, then modifies only what the builder touches.
   const Context tweaked =

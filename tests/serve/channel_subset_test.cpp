@@ -3,8 +3,11 @@
 // aggregation tree's partial-channel routing degenerates to the plain
 // forward on the full set, slot validation fails loudly, and the D-CHAG
 // SPMD front-end serves subsets replicated across ranks — including ranks
-// owning none of the requested channels.
+// owning none of the requested channels — with the full set computing the
+// plain forward's bits through the same graph and the same one AllGather.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "comm/communicator.hpp"
 #include "core/dchag_frontend.hpp"
@@ -137,30 +140,58 @@ TEST(ChannelSubsetServe, DchagSubsetReplicatedAcrossRanksAndFullSetExact) {
   ModelConfig cfg = ModelConfig::tiny();
   constexpr Index kChannels = 8;
   Tensor images = Rng(13).normal_tensor(Shape{2, kChannels, 16, 16});
-  comm::World world(4);
-  world.run([&](comm::Communicator& comm) {
-    Rng master(21);
-    core::DchagFrontEnd fe(cfg, kChannels, comm,
-                           {/*tree_units=*/1, AggLayerKind::kLinear},
-                           master);
-    autograd::NoGradGuard no_grad;
+  std::vector<Index> all(kChannels);
+  std::iota(all.begin(), all.end(), Index{0});
+  for (int P : {1, 2, 4}) {
+    comm::World world(P);
+    world.run([&](comm::Communicator& comm) {
+      Rng master(21);
+      core::DchagFrontEnd fe(cfg, kChannels, comm,
+                             {/*tree_units=*/1, AggLayerKind::kLinear},
+                             master);
+      // One chunk, the subset forward's depth, so both paths build the
+      // same graph. Gradients stay on: the tape is part of the contract.
+      runtime::Scope one_chunk(runtime::ContextPatch::with_comm(
+          comm::CommConfig{comm::CommMode::kSync, 1}));
+      const std::uint64_t gathers = P > 1 ? 1 : 0;
+      const auto run = [&](const auto& forward) {
+        comm.reset_stats();
+        const std::uint64_t nodes = autograd::tape_nodes_created();
+        Tensor out = forward().value();
+        EXPECT_EQ(comm.stats().calls_of(comm::CollectiveKind::kAllGather),
+                  gathers)
+            << "P=" << P;
+        return std::pair{out, autograd::tape_nodes_created() - nodes};
+      };
 
-    // Full set via the subset path == plain distributed forward.
-    std::vector<Index> all(kChannels);
-    for (Index c = 0; c < kChannels; ++c) all[static_cast<std::size_t>(c)] = c;
-    Tensor direct = fe.forward(fe.slice_local_channels(images)).value();
-    Tensor routed = fe.forward_subset(images, all).value();
-    EXPECT_EQ(ops::max_abs_diff(direct, routed), 0.0f);
+      // Full set via the subset path == plain distributed forward, bit for
+      // bit and tape node for tape node.
+      const auto [direct, direct_nodes] =
+          run([&] { return fe.forward(fe.slice_local_channels(images)); });
+      const auto [routed, routed_nodes] =
+          run([&] { return fe.forward_subset(images, all); });
+      EXPECT_EQ(ops::max_abs_diff(direct, routed), 0.0f) << "P=" << P;
+      EXPECT_EQ(direct_nodes, routed_nodes) << "P=" << P;
 
-    // A subset leaving ranks 1 and 2 empty (channels 0,1 on rank 0 and 7
-    // on rank 3) still aggregates, replicated across all ranks.
-    const std::vector<Index> subset{0, 1, 7};
-    Tensor sub_images = gather_channels(images, subset);
-    Tensor out = fe.forward_subset(sub_images, subset).value();
-    EXPECT_EQ(out.shape(), (Shape{2, cfg.seq_len(), cfg.embed_dim}));
-    for (float v : out.span()) ASSERT_TRUE(std::isfinite(v));
-    EXPECT_TRUE(parallel::is_replicated(out, comm));
-  });
+      // At P = 4 this subset leaves ranks 1 and 2 empty (channels 0,1 on
+      // rank 0 and 7 on rank 3); it still aggregates, replicated across
+      // all ranks.
+      const std::vector<Index> subset{0, 1, 7};
+      const Tensor out = run([&] {
+                           return fe.forward_subset(
+                               gather_channels(images, subset), subset);
+                         }).first;
+      EXPECT_EQ(out.shape(), (Shape{2, cfg.seq_len(), cfg.embed_dim}));
+      for (float v : out.span()) ASSERT_TRUE(std::isfinite(v));
+      EXPECT_TRUE(parallel::is_replicated(out, comm));
+
+      // An empty channel list throws on every rank before any collective.
+      comm.reset_stats();
+      EXPECT_THROW((void)fe.forward_subset(Tensor(Shape{2, 0, 16, 16}), {}),
+                   Error);
+      EXPECT_EQ(comm.stats().calls_of(comm::CollectiveKind::kAllGather), 0u);
+    });
+  }
 }
 
 }  // namespace
