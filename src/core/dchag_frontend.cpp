@@ -95,10 +95,9 @@ Variable DchagFrontEnd::local_partial(
     return Variable::input(
         Tensor(Shape{images.dim(0), cfg_.seq_len(), cfg_.embed_dim}, 0.0f));
   }
-  Variable tokens = tokenizer_->local_tokenizer().forward_at_positions(
-      images, positions);                                   // [B, W, S, D]
-  Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [B, S, W, D]
-  return tree_->forward_subset(bscd, positions);            // [B, S, D]
+  Variable tokens = tokenizer_->local_tokenizer().forward_for_aggregator(
+      images, positions);                          // [B, S, W, D]
+  return tree_->forward_subset(tokens, positions);  // [B, S, D]
 }
 
 comm::ICollective& DchagFrontEnd::collective_for(comm::CommMode mode) const {

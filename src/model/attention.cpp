@@ -5,17 +5,15 @@
 
 namespace dchag::model {
 
-namespace detail {
+namespace {
 
 /// [*, N, D] -> [*, h, N, dh]: split heads and move them ahead of the
 /// token dimension so attention is a batched matmul over [N, dh].
 Variable split_heads(const Variable& x, Index heads) {
   const auto& s = x.shape();
   const Index rank = s.rank();
-  const Index n = s.dim(rank - 2);
-  const Index d = s.dim(rank - 1);
   auto dims = s.dims();
-  dims.back() = d / heads;
+  dims.back() = s.dim(rank - 1) / heads;
   dims.insert(dims.end() - 1, heads);
   // [*, N, h, dh] -> permute the last three dims to [*, h, N, dh].
   Variable y = autograd::reshape(
@@ -24,7 +22,6 @@ Variable split_heads(const Variable& x, Index heads) {
   for (Index i = 0; i < rank + 1; ++i) perm[static_cast<std::size_t>(i)] = i;
   std::swap(perm[static_cast<std::size_t>(rank - 1)],
             perm[static_cast<std::size_t>(rank - 2)]);
-  (void)n;
   return autograd::permute(y, perm);
 }
 
@@ -44,21 +41,25 @@ Variable merge_heads(const Variable& x) {
   return autograd::reshape(y, tensor::Shape{std::vector<Index>(dims)});
 }
 
-/// Scaled dot-product attention on head-split operands
-/// q: [*, h, Nq, dh], k/v: [*, h, Nk, dh] -> [*, h, Nq, dh].
-Variable scaled_attention(const Variable& q, const Variable& k,
-                          const Variable& v, bool fused) {
-  const Index dh = q.shape().dim(-1);
+}  // namespace
+
+namespace detail {
+
+Variable attend(const Variable& q, const Variable& k, const Variable& v,
+                Index heads, bool frozen) {
+  const Index dh = q.shape().dim(-1) / heads;
   const float s = 1.0f / std::sqrt(static_cast<float>(dh));
-  if (fused && !autograd::is_grad_enabled()) {
-    // Tape-free: scale + softmax rows fused into the score GEMM's strips.
-    tensor::Tensor probs = tensor::ops::matmul_scale_softmax(
-        q.value(), tensor::ops::transpose_last2(k.value()), s);
-    return Variable::input(tensor::ops::matmul(probs, v.value()));
+  if (frozen && !autograd::is_grad_enabled()) {
+    // Tape-free: every head attends in place, no split/merge copies.
+    return Variable::input(tensor::ops::attention_heads(
+        q.value(), k.value(), v.value(), heads, s));
   }
+  Variable qh = split_heads(q, heads);
+  Variable kh = split_heads(k, heads);
+  Variable vh = split_heads(v, heads);
   Variable scores =
-      autograd::scale(autograd::matmul(q, autograd::transpose_last2(k)), s);
-  return autograd::matmul(autograd::softmax_lastdim(scores), v);
+      autograd::scale(autograd::matmul(qh, autograd::transpose_last2(kh)), s);
+  return merge_heads(autograd::matmul(autograd::softmax_lastdim(scores), vh));
 }
 
 void check_subset_slots(std::span<const Index> slots, Index width,
@@ -83,10 +84,8 @@ std::vector<Index> all_slots(Index width) {
 
 }  // namespace detail
 
+using detail::attend;
 using detail::check_subset_slots;
-using detail::merge_heads;
-using detail::scaled_attention;
-using detail::split_heads;
 
 Variable ChannelAggregator::forward_subset(
     const Variable& tokens, std::span<const Index> slots) const {
@@ -117,21 +116,18 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(Index dim, Index heads,
 Variable MultiHeadSelfAttention::forward(const Variable& x) const {
   DCHAG_CHECK(x.shape().dim(-1) == dim_,
               "attention dim mismatch: " << x.shape().to_string());
-  Variable q = split_heads(wq_->forward(x), heads_);
-  Variable k = split_heads(wk_->forward(x), heads_);
-  Variable v = split_heads(wv_->forward(x), heads_);
-  return wo_->forward(merge_heads(scaled_attention(q, k, v, is_frozen())));
+  return wo_->forward(attend(wq_->forward(x), wk_->forward(x),
+                             wv_->forward(x), heads_, is_frozen()));
 }
 
 Variable MultiHeadSelfAttention::forward_residual(
     const Variable& x, const Variable& residual) const {
   DCHAG_CHECK(x.shape().dim(-1) == dim_,
               "attention dim mismatch: " << x.shape().to_string());
-  Variable q = split_heads(wq_->forward(x), heads_);
-  Variable k = split_heads(wk_->forward(x), heads_);
-  Variable v = split_heads(wv_->forward(x), heads_);
   return wo_->forward_residual(
-      merge_heads(scaled_attention(q, k, v, is_frozen())), residual);
+      attend(wq_->forward(x), wk_->forward(x), wv_->forward(x), heads_,
+             is_frozen()),
+      residual);
 }
 
 CrossAttentionAggregator::CrossAttentionAggregator(
@@ -179,11 +175,8 @@ Variable CrossAttentionAggregator::forward(const Variable& tokens) const {
     q_src = autograd::expand_dim(q, 0, B);            // [B, S, 1, D]
   }
 
-  Variable qh = split_heads(wq_->forward(q_src), heads_);
-  Variable kh = split_heads(wk_->forward(x), heads_);
-  Variable vh = split_heads(wv_->forward(x), heads_);
-  Variable out =
-      wo_->forward(merge_heads(scaled_attention(qh, kh, vh, is_frozen())));
+  Variable out = wo_->forward(attend(wq_->forward(q_src), wk_->forward(x),
+                                     wv_->forward(x), heads_, is_frozen()));
 
   if (mode_ == QueryMode::kChannelTokens) {
     return autograd::mean_dim(out, 2);  // pool C attended tokens -> one

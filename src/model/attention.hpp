@@ -1,6 +1,12 @@
 // Attention modules: multi-head self-attention (ViT blocks) and the two
 // channel-aggregation unit types the paper studies — cross-attention (-C)
 // and lightweight linear (-L).
+//
+// Every attention core goes through detail::attend on projected [*, N, D]
+// operands. Frozen for serving with gradients off, heads are attended in
+// place (ops::attention_heads: no split/merge copies, no materialised
+// kᵀ); otherwise the tape records split heads -> softmax(q kᵀ / sqrt(dh))
+// v -> merge heads. Both give the same bits.
 #pragma once
 
 #include <memory>
@@ -19,17 +25,15 @@ using autograd::Variable;
 using tensor::Rng;
 
 namespace detail {
-/// [*, N, D] -> [*, h, N, dh]: split heads ahead of the token dimension.
-[[nodiscard]] Variable split_heads(const Variable& x, Index heads);
-/// Inverse of split_heads: [*, h, N, dh] -> [*, N, h*dh].
-[[nodiscard]] Variable merge_heads(const Variable& x);
-/// softmax(q k^T / sqrt(dh)) v on head-split operands
-/// q: [*, h, Nq, dh], k/v: [*, h, Nk, dh]. With `fused` (a frozen owner)
-/// and gradients off, the scale+softmax rows ride the score GEMM's row
-/// strips (ops::matmul_scale_softmax) — bit-identical, tape-free.
-[[nodiscard]] Variable scaled_attention(const Variable& q, const Variable& k,
-                                        const Variable& v,
-                                        bool fused = false);
+/// Multi-head scaled dot-product attention on projected operands:
+/// q [*, Nq, D], k/v [*, Nk, D] -> merged [*, Nq, D], heads interleaved
+/// along D (head h owns columns [h*dh, (h+1)*dh)). On a frozen owner with
+/// gradients off it is one tape-free ops::attention_heads call that reads
+/// and writes each head in place; otherwise it records split heads ->
+/// softmax(q kᵀ / sqrt(dh)) v -> merge heads on the tape. Both branches
+/// give the same bits.
+[[nodiscard]] Variable attend(const Variable& q, const Variable& k,
+                              const Variable& v, Index heads, bool frozen);
 /// Validates a partial-channel slot list: strictly increasing indices in
 /// [0, width), one per token (ntokens == slots.size()).
 void check_subset_slots(std::span<const Index> slots, Index width,

@@ -28,9 +28,9 @@ Variable LocalFrontEnd::forward_subset(
     const Tensor& images, std::span<const Index> channels) const {
   // One id->position mapping feeds both the tokenizer and the aggregator.
   const std::vector<Index> positions = tokenizer_->local_positions(channels);
-  Variable tokens = tokenizer_->forward_at_positions(images, positions);
-  Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [B, S, W, D]
-  return agg_->forward_subset(bscd, positions);             // [B, S, D]
+  Variable tokens =  // [B, S, W, D]
+      tokenizer_->forward_for_aggregator(images, positions);
+  return agg_->forward_subset(tokens, positions);  // [B, S, D]
 }
 
 std::unique_ptr<LocalFrontEnd> make_baseline_frontend(const ModelConfig& cfg,

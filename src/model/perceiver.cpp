@@ -59,13 +59,11 @@ Variable PerceiverAggregator::forward(const Variable& tokens) const {
 
   for (const Block& b : blocks_) {
     // Cross-attention: latents query the channel tokens.
-    Variable q = detail::split_heads(b.wq->forward(b.ln_q->forward(lat)),
-                                     heads_);
+    Variable q = b.wq->forward(b.ln_q->forward(lat));
     Variable kv_in = b.ln_kv->forward(tokens);
-    Variable k = detail::split_heads(b.wk->forward(kv_in), heads_);
-    Variable v = detail::split_heads(b.wv->forward(kv_in), heads_);
     Variable attended = b.wo->forward(
-        detail::merge_heads(detail::scaled_attention(q, k, v)));
+        detail::attend(q, b.wk->forward(kv_in), b.wv->forward(kv_in), heads_,
+                       is_frozen()));
     lat = autograd::add(lat, attended);
     // Latent MLP.
     Variable h = b.mlp_down->forward(

@@ -155,6 +155,17 @@ Variable PatchTokenizer::forward_subset(
 
 Variable PatchTokenizer::forward_at_positions(
     const Tensor& images, const std::vector<Index>& positions) const {
+  return embed(images, positions, /*spatial_major=*/false);
+}
+
+Variable PatchTokenizer::forward_for_aggregator(
+    const Tensor& images, const std::vector<Index>& positions) const {
+  return embed(images, positions, /*spatial_major=*/true);
+}
+
+Variable PatchTokenizer::embed(const Tensor& images,
+                               const std::vector<Index>& positions,
+                               bool spatial_major) const {
   DCHAG_CHECK(!positions.empty(), "tokenization needs >= 1 channel");
   DCHAG_CHECK(images.rank() == 4 &&
                   images.dim(1) == static_cast<Index>(positions.size()),
@@ -166,11 +177,13 @@ Variable PatchTokenizer::forward_at_positions(
                 "tokenizer position " << pos << " out of [0, "
                                       << num_channels() << ")");
   }
+  Tensor patches = patchify(images, cfg_.patch_size);  // [B, N, S, p2]
+  if (is_frozen() && !autograd::is_grad_enabled()) {
+    return Variable::input(embed_frozen(patches, positions, spatial_major));
+  }
   const Index B = images.dim(0);
   const Index S = cfg_.seq_len();
   const Index p2 = cfg_.patch_size * cfg_.patch_size;
-  Tensor patches = patchify(images, cfg_.patch_size);  // [B, W, S, p2]
-
   std::vector<Variable> per_channel;
   per_channel.reserve(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -185,8 +198,74 @@ Variable PatchTokenizer::forward_at_positions(
     per_channel.push_back(
         autograd::reshape(tok, Shape{B, 1, S, cfg_.embed_dim}));
   }
-  return per_channel.size() == 1 ? per_channel.front()
-                                 : autograd::concat(per_channel, 1);
+  Variable tokens = per_channel.size() == 1
+                        ? per_channel.front()
+                        : autograd::concat(per_channel, 1);  // [B, N, S, D]
+  return spatial_major ? autograd::permute(tokens, {0, 2, 1, 3}) : tokens;
+}
+
+Tensor PatchTokenizer::embed_frozen(const Tensor& patches,
+                                    const std::vector<Index>& positions,
+                                    bool spatial_major) const {
+  const Index B = patches.dim(0);
+  const Index N = patches.dim(1);
+  const Index S = cfg_.seq_len();
+  const Index p2 = cfg_.patch_size * cfg_.patch_size;
+  const Index D = cfg_.embed_dim;
+  const float* chan_emb = channel_emb_.value().data();
+  // Every requested channel's Linear and pre-packed panels, fetched up
+  // front so a stale-weight check throws here, on the calling thread,
+  // before any product runs.
+  struct Channel {
+    const Linear* lin;
+    const tensor::gemm::PackedB* panels;
+    const float* cid;  // its channel-ID embedding row
+  };
+  std::vector<Channel> chans;
+  chans.reserve(positions.size());
+  for (Index pos : positions) {
+    const Linear& lin = *embeds_[static_cast<std::size_t>(pos)];
+    const tensor::gemm::PackedB* panels = lin.serving_panels();
+    DCHAG_CHECK(panels != nullptr,
+                "frozen tokenizer has no packed panels for channel "
+                    << channel_ids_[static_cast<std::size_t>(pos)]);
+    chans.push_back({&lin, panels, chan_emb + pos * D});
+  }
+  // Item t = (b, i) embeds channel i of image b: S rows of D written at
+  // row stride D into [B, N, S, D], or N*D into [B, S, N, D].
+  Tensor out(spatial_major ? Shape{B, S, N, D} : Shape{B, N, S, D});
+  const Index ldc = spatial_major ? N * D : D;
+  const float* pp = patches.data();
+  float* po = out.data();
+  const float* pos_emb = pos_emb_.value().data();
+  tensor::ops::gemm_items(
+      B * N, S, D, p2,
+      [&](Index t) {
+        const Index b = t / N;
+        const Index i = t % N;
+        const Channel& c = chans[static_cast<std::size_t>(i)];
+        return tensor::ops::GemmItem{
+            .a = pp + t * S * p2,
+            .lda = p2,
+            .b = c.lin->weight().value().data(),
+            .ldb = D,
+            .packed = c.panels,
+            .c = po + (spatial_major ? b * S * N * D + i * D : t * S * D),
+            .ldc = ldc};
+      },
+      [&](Index t, const tensor::ops::GemmItem& g) {
+        // The unfrozen chain's three adds in its order: the Linear's bias,
+        // then the channel-ID and positional embeddings.
+        const Channel& c = chans[static_cast<std::size_t>(t % N)];
+        const float* bias = c.lin->bias().value().data();
+        for (Index s = 0; s < S; ++s) {
+          float* row = g.c + s * g.ldc;
+          const float* pe = pos_emb + s * D;
+          for (Index j = 0; j < D; ++j)
+            row[j] = ((row[j] + bias[j]) + c.cid[j]) + pe[j];
+        }
+      });
+  return out;
 }
 
 }  // namespace dchag::model

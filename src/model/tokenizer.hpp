@@ -7,6 +7,14 @@
 // what lets D-CHAG split tokenization across ranks without changing the
 // math: a tokenizer over a channel subset produces bit-identical tokens to
 // the corresponding slice of a full tokenizer with the same weights.
+//
+// Two output layouts: [B, N, S, D] (forward, forward_subset,
+// forward_at_positions) and the channel aggregators' [B, S, N, D]
+// (forward_for_aggregator, the front-ends' entry). Frozen for serving with
+// gradients off, the tokenizer skips the per-channel op chain: one product
+// per (image, channel) on that channel Linear's pre-packed panels writes
+// straight into the chosen layout, bias and embeddings added in the
+// chain's order, so the bits match the tape path.
 #pragma once
 
 #include <span>
@@ -62,10 +70,17 @@ class PatchTokenizer : public Module {
       std::span<const Index> channels) const;
 
   /// Tokenizes `images` [B, N, H, W] whose N slabs correspond, in order,
-  /// to channel_ids()[positions[i]]. The shared core of forward() and
-  /// forward_subset(), public so subset callers can reuse an already
-  /// computed local_positions() result instead of mapping twice.
+  /// to channel_ids()[positions[i]] -> [B, N, S, D]. The shared core of
+  /// forward() and forward_subset(), public so subset callers can reuse an
+  /// already computed local_positions() result instead of mapping twice.
   [[nodiscard]] Variable forward_at_positions(
+      const Tensor& images, const std::vector<Index>& positions) const;
+
+  /// forward_at_positions() in the channel aggregators' layout
+  /// [B, S, N, D], the front-ends' entry. Frozen with gradients off it
+  /// writes that layout directly; otherwise the tape records the same
+  /// chain plus one permute.
+  [[nodiscard]] Variable forward_for_aggregator(
       const Tensor& images, const std::vector<Index>& positions) const;
 
   [[nodiscard]] Index num_channels() const {
@@ -76,6 +91,19 @@ class PatchTokenizer : public Module {
   }
 
  private:
+  /// The body of both entries: [B, S, N, D] when `spatial_major`, else
+  /// [B, N, S, D].
+  [[nodiscard]] Variable embed(const Tensor& images,
+                               const std::vector<Index>& positions,
+                               bool spatial_major) const;
+  /// The frozen tape-free embed of `patches` [B, N, S, p2]: one product
+  /// per (image, channel) on that channel's pre-packed panels, written
+  /// straight into the chosen layout with the bias and embeddings added
+  /// in the unfrozen chain's order, so the bits match it.
+  [[nodiscard]] Tensor embed_frozen(const Tensor& patches,
+                                    const std::vector<Index>& positions,
+                                    bool spatial_major) const;
+
   ModelConfig cfg_;
   std::vector<Index> channel_ids_;
   std::vector<std::unique_ptr<Linear>> embeds_;  // one per local channel

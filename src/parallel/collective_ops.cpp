@@ -55,7 +55,7 @@ Variable copy_to_parallel(const Variable& x, Communicator& comm) {
   return autograd::make_op(x.value(), {x}, [nx, c](const Tensor& g) {
     Tensor gr = g.clone();
     c->all_reduce(gr.span(), comm::ReduceOp::kSum);
-    autograd::accumulate_grad(*nx, gr);
+    autograd::accumulate_grad(*nx, std::move(gr));
   });
 }
 

@@ -5,9 +5,7 @@
 namespace dchag::parallel {
 
 namespace ops = tensor::ops;
-using model::detail::merge_heads;
-using model::detail::scaled_attention;
-using model::detail::split_heads;
+using model::detail::attend;
 
 Variable scatter_sequence(const Variable& x, Communicator& comm) {
   const Index S = x.shape().dim(1);
@@ -62,15 +60,15 @@ Variable SequenceParallelViTBlock::forward(const Variable& x_local) const {
   // Queries from the local slice only; keys/values gathered over the full
   // sequence (each rank's kv contribution feeds every rank's attention ->
   // general reduce-scatter backward).
-  Variable q = split_heads(wq_->forward(normed), heads_);
+  Variable q = wq_->forward(normed);
   Variable kv_full =
       comm_->size() == 1
           ? normed
           : all_gather_cat(normed, *comm_, /*dim=*/1,
                            GatherBackward::kReduceScatter);
-  Variable k = split_heads(wk_->forward(kv_full), heads_);
-  Variable v = split_heads(wv_->forward(kv_full), heads_);
-  Variable attn = wo_->forward(merge_heads(scaled_attention(q, k, v)));
+  Variable attn = wo_->forward(attend(q, wk_->forward(kv_full),
+                                      wv_->forward(kv_full), heads_,
+                                      is_frozen()));
   Variable h = autograd::add(x_local, attn);
   Variable mlp = mlp_down_->forward(
       autograd::gelu(mlp_up_->forward(ln2_->forward(h))));

@@ -22,14 +22,14 @@ NoGradGuard::NoGradGuard() : prev_(tls_grad_enabled) {
 
 NoGradGuard::~NoGradGuard() { tls_grad_enabled = prev_; }
 
-void accumulate_grad(Node& n, const Tensor& g) {
+void accumulate_grad(Node& n, Tensor g) {
   if (!n.requires_grad) return;
   DCHAG_CHECK(g.shape() == n.value.shape(),
               "grad shape " << g.shape().to_string() << " != value shape "
                             << n.value.shape().to_string() << " for node '"
                             << n.name << "'");
   if (!n.grad.defined()) {
-    n.grad = g.clone();
+    n.grad = g.sole_owner() ? std::move(g) : g.clone();
   } else {
     float* pg = n.grad.data();
     const float* ps = g.data();

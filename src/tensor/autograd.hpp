@@ -33,9 +33,13 @@ struct Node {
   std::function<void(const Tensor& grad_out)> backward_fn;
 };
 
-/// Adds `g` into the node's gradient accumulator (allocating on first use).
-/// No-op if the node does not require grad.
-void accumulate_grad(Node& n, const Tensor& g);
+/// Adds `g` into the node's gradient accumulator. The first gradient
+/// becomes the accumulator: its buffer is taken over when `g` is its sole
+/// owner (a fresh backward result passed as a temporary), and copied when
+/// anything else still holds it (add's backward hands one buffer to both
+/// parents; reshape's shares the child's gradient). No-op if the node
+/// does not require grad.
+void accumulate_grad(Node& n, Tensor g);
 
 /// Whether ops built on this thread record the tape (parents + backward
 /// closures). Grad mode is thread-local: each SPMD rank thread and each

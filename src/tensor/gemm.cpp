@@ -51,6 +51,21 @@ void pack_b(const float* B, Index ldb, Index kc, Index nc, float* out) {
   }
 }
 
+/// pack_b for a B given as its transpose: Bt[j0:j0+nc, p0:p0+kc] (row
+/// stride ldbt) holds B[p0:p0+kc, j0:j0+nc] column by column. The panels
+/// hold the same floats in the same places as pack_b's, so a product on
+/// them is bit-identical to one on a materialised transpose.
+void pack_bt(const float* Bt, Index ldbt, Index kc, Index nc, float* out) {
+  for (Index j = 0; j < nc; j += kNR) {
+    const Index nr = std::min(kNR, nc - j);
+    for (Index k = 0; k < kc; ++k) {
+      for (Index c = 0; c < nr; ++c) out[k * kNR + c] = Bt[(j + c) * ldbt + k];
+      for (Index c = nr; c < kNR; ++c) out[k * kNR + c] = 0.0f;
+    }
+    out += kKC * kNR;
+  }
+}
+
 /// MR x NR register tile over one KC slice of packed panels; writes back
 /// only the mr x nr valid corner. Per-element accumulation is strictly
 /// k-ordered in both variants, which is what keeps the blocked and
@@ -164,10 +179,11 @@ void macro_kernel(Index M, Index nc, Index kc, const float* A, Index lda,
   }
 }
 
-}  // namespace
-
-void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
-                  const float* B, Index ldb, float* C, Index ldc) {
+/// The per-call packing loop of gemm_blocked and gemm_blocked_nt; only
+/// the B-panel source differs between them.
+template <bool kTransB>
+void gemm_per_call(Index M, Index N, Index K, const float* A, Index lda,
+                   const float* B, Index ldb, float* C, Index ldc) {
   if (M <= 0 || N <= 0 || K <= 0) return;
   float* packed_a = thread_packed_a();
   float* packed_b_buf = thread_packed_b();
@@ -175,10 +191,26 @@ void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
     const Index nc = std::min(kNC, N - jc);
     for (Index pc = 0; pc < K; pc += kKC) {
       const Index kc = std::min(kKC, K - pc);
-      pack_b(B + pc * ldb + jc, ldb, kc, nc, packed_b_buf);
+      if constexpr (kTransB) {
+        pack_bt(B + jc * ldb + pc, ldb, kc, nc, packed_b_buf);
+      } else {
+        pack_b(B + pc * ldb + jc, ldb, kc, nc, packed_b_buf);
+      }
       macro_kernel(M, nc, kc, A, lda, pc, packed_b_buf, C, ldc, jc, packed_a);
     }
   }
+}
+
+}  // namespace
+
+void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
+                  const float* B, Index ldb, float* C, Index ldc) {
+  gemm_per_call<false>(M, N, K, A, lda, B, ldb, C, ldc);
+}
+
+void gemm_blocked_nt(Index M, Index N, Index K, const float* A, Index lda,
+                     const float* Bt, Index ldbt, float* C, Index ldc) {
+  gemm_per_call<true>(M, N, K, A, lda, Bt, ldbt, C, ldc);
 }
 
 PackedB pack_b_matrix(const float* B, Index K, Index N, Index ldb) {

@@ -25,6 +25,13 @@ namespace dchag::tensor::gemm {
 void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
                   const float* B, Index ldb, float* C, Index ldc);
 
+/// gemm_blocked with B supplied transposed: C[M,N] += A[M,K] * Btᵀ, where
+/// Bt[N,K] has row stride ldbt. The transpose happens inside the B-panel
+/// pack, so the result is bit-identical to gemm_blocked on a materialised
+/// B = Btᵀ (attention's q·kᵀ reads k's rows in place this way).
+void gemm_blocked_nt(Index M, Index N, Index K, const float* A, Index lda,
+                     const float* Bt, Index ldbt, float* C, Index ldc);
+
 /// A weight matrix's B-side panels, packed once ahead of serving so
 /// pack_b leaves the per-call GEMM path entirely. The panel bytes are
 /// exactly what gemm_blocked's per-call pack_b would produce for every

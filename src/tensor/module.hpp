@@ -199,6 +199,15 @@ class Linear : public Module {
   [[nodiscard]] const Variable& weight() const { return weight_; }
   [[nodiscard]] const Variable& bias() const { return bias_; }
 
+  /// The pre-packed weight panels the frozen tape-free forward runs on,
+  /// after the same stale-weight check (throws StaleWeightPackError);
+  /// nullptr when that path does not apply (not frozen, or grad on).
+  /// Lets a caller that fans out its own products reuse the panels
+  /// instead of packing the weight a second time.
+  [[nodiscard]] const tensor::gemm::PackedB* serving_panels() const {
+    return fused_ready() ? &*packed_ : nullptr;
+  }
+
  protected:
   void on_freeze() override {
     const tensor::Tensor& w = weight_.value();

@@ -199,13 +199,76 @@ GemmDims matmul_dims(const char* op, const Tensor& a, const Tensor& b) {
   return {batch, a.dim(-2), K, b.dim(-1)};
 }
 
-/// The one GEMM driver: C (zeroed) += A * B over the flattened
-/// [batch*M] row space on the active backend, then `epilogue(r0, r1)` on
-/// every finished row range. `packed` (matching a shared B) replaces the
-/// per-call pack_b on the blocked/parallel backends. Row splits never
-/// change any C element's accumulation order (gemm.hpp), so strips may
-/// cross batch edges and kBlocked and kParallel are bit-identical at every
-/// lane count.
+/// The naive backend's product C[M,N] += A[M,K] * B: k-ascending per
+/// element, zero A entries skipped. B(k, j) is B[k*ldb + j], or, with
+/// kTransB, B[j*ldb + k] — a transpose read in place.
+template <bool kTransB = false>
+void naive_gemm(Index M, Index N, Index K, const float* A, Index lda,
+                const float* B, Index ldb, float* C, Index ldc) {
+  for (Index i = 0; i < M; ++i) {
+    const float* arow = A + i * lda;
+    float* crow = C + i * ldc;
+    for (Index k = 0; k < K; ++k) {
+      const float av = arow[k];
+      if (av == 0.0f) continue;
+      if constexpr (kTransB) {
+        for (Index j = 0; j < N; ++j) crow[j] += av * B[j * ldb + k];
+      } else {
+        const float* brow = B + k * ldb;
+        for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
+      }
+    }
+  }
+}
+
+/// One product C[M,N] += A[M,K] * B[K,N] on the calling thread with
+/// `backend`'s kernel. `packed` (pack_b_matrix of B) replaces B's per-call
+/// pack on the blocked kernels; the naive loop always reads B.
+void gemm_one(KernelBackend backend, Index M, Index N, Index K,
+              const float* A, Index lda, const float* B, Index ldb,
+              const gemm::PackedB* packed, float* C, Index ldc) {
+  if (backend == KernelBackend::kNaive) {
+    naive_gemm(M, N, K, A, lda, B, ldb, C, ldc);
+  } else if (packed != nullptr) {
+    gemm::gemm_blocked_prepacked(M, A, lda, *packed, C, ldc);
+  } else {
+    gemm::gemm_blocked(M, N, K, A, lda, B, ldb, C, ldc);
+  }
+}
+
+/// Work units per parallel chunk so that a chunk does >= ~1 MFLOP and
+/// fork/join stays in the noise.
+Index flop_grain(Index flops_per_unit) {
+  return std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_unit));
+}
+
+/// Splits [0, n) over the pool on kParallel, else runs fn(0, n) inline.
+template <typename F>
+void fan_out(const KernelConfig& cfg, Index n, Index grain, F&& fn) {
+  if (cfg.backend == KernelBackend::kParallel) {
+    ThreadPool::global().parallel_for(n, grain, std::forward<F>(fn),
+                                      cfg.threads);
+  } else {
+    fn(Index{0}, n);
+  }
+}
+
+void count_flops(Index products, Index M, Index N, Index K) {
+  g_flops.fetch_add(static_cast<std::uint64_t>(2) *
+                        static_cast<std::uint64_t>(products) *
+                        static_cast<std::uint64_t>(M) *
+                        static_cast<std::uint64_t>(N) *
+                        static_cast<std::uint64_t>(K),
+                    std::memory_order_relaxed);
+}
+
+/// The GEMM driver behind matmul and linear_fused: C (zeroed) += A * B
+/// over the flattened [batch*M] row space on the active backend, then
+/// `epilogue(r0, r1)` on every finished row range. `packed` (matching a
+/// shared B) replaces the per-call pack_b on the blocked/parallel
+/// backends. Row splits never change any C element's accumulation order
+/// (gemm.hpp), so strips may cross batch edges and kBlocked and kParallel
+/// are bit-identical at every lane count.
 template <typename Epilogue>
 void gemm_rows(const GemmDims& d, const float* A, const float* B,
                const gemm::PackedB* packed, float* C, Epilogue&& epilogue) {
@@ -213,49 +276,27 @@ void gemm_rows(const GemmDims& d, const float* A, const float* B,
   const Index K = d.K;
   const Index N = d.N;
   const KernelConfig cfg = kernel_config();
-  if (cfg.backend == KernelBackend::kNaive) {
-    for (Index r = 0; r < rows; ++r) {
-      const float* arow = A + r * K;
-      const float* Bm = B + (r / d.M) * K * N;
-      float* crow = C + r * N;
-      for (Index k = 0; k < K; ++k) {
-        const float av = arow[k];
-        if (av == 0.0f) continue;
-        const float* brow = Bm + k * N;
-        for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
-      }
+  auto run_rows = [&](Index r0, Index r1) {
+    for (Index r = r0; r < r1;) {
+      const Index bi = r / d.M;
+      const Index n = std::min(r1, (bi + 1) * d.M) - r;
+      gemm_one(cfg.backend, n, N, K, A + r * K, K, B + bi * K * N, N, packed,
+               C + r * N, N);
+      r += n;
     }
-    epilogue(Index{0}, rows);
-  } else {
-    auto run_rows = [&](Index r0, Index r1) {
-      for (Index r = r0; r < r1;) {
-        const Index bi = r / d.M;
-        const Index n = std::min(r1, (bi + 1) * d.M) - r;
-        if (packed != nullptr) {
-          gemm::gemm_blocked_prepacked(n, A + r * K, K, *packed, C + r * N,
-                                       N);
-        } else {
-          gemm::gemm_blocked(n, N, K, A + r * K, K, B + bi * K * N, N,
-                             C + r * N, N);
-        }
-        r += n;
-      }
-      epilogue(r0, r1);
-    };
-    // Aim for strips of >= ~1 MFLOP so fork/join stays in the noise.
-    const Index grain =
-        std::max<Index>(1, (1 << 20) / std::max<Index>(1, 2 * N * K));
-    if (cfg.backend == KernelBackend::kParallel) {
-      ThreadPool::global().parallel_for(rows, grain, run_rows, cfg.threads);
-    } else {
-      run_rows(0, rows);
-    }
-  }
-  g_flops.fetch_add(static_cast<std::uint64_t>(2) *
-                        static_cast<std::uint64_t>(rows) *
-                        static_cast<std::uint64_t>(N) *
-                        static_cast<std::uint64_t>(K),
-                    std::memory_order_relaxed);
+    epilogue(r0, r1);
+  };
+  fan_out(cfg, rows, flop_grain(2 * N * K), run_rows);
+  count_flops(rows, 1, N, K);
+}
+
+/// Per-thread score rows of attention_heads, grown on demand and then
+/// reused, so a warmed serving forward allocates nothing for them.
+float* attention_scratch(Index n) {
+  static thread_local std::vector<float> buf;
+  if (static_cast<Index>(buf.size()) < n)
+    buf.resize(static_cast<std::size_t>(n));
+  return buf.data();
 }
 
 }  // namespace
@@ -380,20 +421,86 @@ Tensor linear_fused(const Tensor& x, const Tensor& w,
   return out;
 }
 
-Tensor matmul_scale_softmax(const Tensor& a, const Tensor& b, float s) {
-  const GemmDims d = matmul_dims("matmul_scale_softmax", a, b);
-  const Index N = d.N;
-  Tensor out(a.shape().with_dim(-1, N));
-  float* po = out.data();
-  // scale then softmax on a completed score row — the same scalar ops as
-  // ops::scale + ops::softmax_lastdim, fused into the matmul's strips.
-  gemm_rows(d, a.data(), b.data(), nullptr, po, [&](Index r0, Index r1) {
-    for (Index r = r0; r < r1; ++r) {
-      float* crow = po + r * N;
-      for (Index j = 0; j < N; ++j) crow[j] = crow[j] * s;
-      softmax_row(crow, crow, N);
+void gemm_items(Index items, Index M, Index N, Index K,
+                const std::function<GemmItem(Index)>& item,
+                const std::function<void(Index, const GemmItem&)>& epilogue) {
+  if (items <= 0 || M <= 0 || N <= 0) return;
+  const KernelConfig cfg = kernel_config();
+  fan_out(cfg, items, flop_grain(2 * M * N * K), [&](Index lo, Index hi) {
+    for (Index i = lo; i < hi; ++i) {
+      const GemmItem g = item(i);
+      DCHAG_CHECK(g.packed == nullptr || g.packed->matches(K, N),
+                  "gemm_items: packed panels are for ["
+                      << g.packed->K << ", " << g.packed->N
+                      << "], item is [" << K << ", " << N << "]");
+      gemm_one(cfg.backend, M, N, K, g.a, g.lda, g.b, g.ldb, g.packed, g.c,
+               g.ldc);
+      epilogue(i, g);
     }
   });
+  count_flops(items, M, N, K);
+}
+
+Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
+                       Index heads, float s) {
+  DCHAG_CHECK(q.rank() >= 2 && k.rank() == q.rank() && k.shape() == v.shape(),
+              "attention_heads shapes " << q.shape().to_string() << ", "
+                                        << k.shape().to_string() << ", "
+                                        << v.shape().to_string());
+  const Index rank = q.rank();
+  const Index D = q.dim(-1);
+  const Index Nq = q.dim(-2);
+  const Index Nk = k.dim(-2);
+  DCHAG_CHECK(k.dim(-1) == D && heads > 0 && D % heads == 0,
+              "attention_heads: width " << D << " (k " << k.dim(-1)
+                                        << ") over " << heads << " heads");
+  Index items = 1;
+  for (Index d = 0; d < rank - 2; ++d) {
+    DCHAG_CHECK(q.dim(d) == k.dim(d),
+                "attention_heads batch dims " << q.shape().to_string()
+                                              << " vs "
+                                              << k.shape().to_string());
+    items *= q.dim(d);
+  }
+  const Index dh = D / heads;
+  Tensor out(q.shape());
+  if (items == 0 || Nq == 0) return out;
+  DCHAG_CHECK(Nk > 0, "attention_heads over zero keys");
+  const float* pq = q.data();
+  const float* pk = k.data();
+  const float* pv = v.data();
+  float* po = out.data();
+  const KernelConfig cfg = kernel_config();
+  const bool naive = cfg.backend == KernelBackend::kNaive;
+  // One unit = one (item, head): its Nq x Nk scores live in per-thread
+  // scratch; q, k, v and the output are read and written in place at row
+  // stride D, column offset h * dh.
+  auto run = [&](Index lo, Index hi) {
+    float* scores = attention_scratch(Nq * Nk);
+    for (Index u = lo; u < hi; ++u) {
+      const Index off = u % heads * dh;
+      const float* qh = pq + u / heads * Nq * D + off;
+      const float* kh = pk + u / heads * Nk * D + off;
+      const float* vh = pv + u / heads * Nk * D + off;
+      float* oh = po + u / heads * Nq * D + off;
+      std::fill(scores, scores + Nq * Nk, 0.0f);
+      if (naive) {
+        naive_gemm<true>(Nq, Nk, dh, qh, D, kh, D, scores, Nk);
+      } else {
+        gemm::gemm_blocked_nt(Nq, Nk, dh, qh, D, kh, D, scores, Nk);
+      }
+      // ops::scale then ops::softmax_lastdim's scalar code, row by row.
+      for (Index r = 0; r < Nq; ++r) {
+        float* row = scores + r * Nk;
+        for (Index j = 0; j < Nk; ++j) row[j] = row[j] * s;
+        softmax_row(row, row, Nk);
+      }
+      gemm_one(cfg.backend, Nq, dh, Nk, scores, Nk, vh, D, nullptr, oh, D);
+    }
+  };
+  fan_out(cfg, items * heads, flop_grain(4 * Nq * Nk * dh), run);
+  count_flops(items * heads, Nq, Nk, dh);  // scores
+  count_flops(items * heads, Nq, dh, Nk);  // P * V
   return out;
 }
 

@@ -6,14 +6,17 @@
 //
 // Every kernel dispatches on kernel_config() (naive | blocked | parallel);
 // see tensor/kernel_config.hpp for the backend contract and env knobs.
-// The GEMM entry points (matmul, linear_fused, matmul_scale_softmax) share
-// one backend driver that fans out in ~1 MFLOP row strips and differ only
-// in their row epilogues; the elementwise/broadcast fast paths, softmax,
-// layernorm and sum_dim fan out through tensor/dispatch.hpp.
+// The GEMM entry points (matmul, linear_fused, gemm_items,
+// attention_heads) share one per-product backend kernel (the naive loop or
+// gemm.cpp's blocked micro-kernel) and fan out in ~1 MFLOP units; they
+// differ only in how they lay out operands and in their epilogues. The
+// elementwise/broadcast fast paths, softmax, layernorm and sum_dim fan out
+// through tensor/dispatch.hpp.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -74,9 +77,41 @@ struct LinearEpilogue {
 Tensor linear_fused(const Tensor& x, const Tensor& w,
                     const gemm::PackedB* packed, const LinearEpilogue& epi);
 
-/// softmax_lastdim(scale(matmul(a, b), s)) with the scale+softmax rows
-/// fused into the matmul's row strips (the attention score path).
-Tensor matmul_scale_softmax(const Tensor& a, const Tensor& b, float s);
+/// One product of gemm_items on strided rows: c[M,N] += a[M,K] * b[K,N].
+struct GemmItem {
+  const float* a = nullptr;
+  Index lda = 0;
+  const float* b = nullptr;
+  Index ldb = 0;
+  const gemm::PackedB* packed = nullptr;  ///< pack_b_matrix(b), or nullptr
+  float* c = nullptr;  ///< zeroed on entry
+  Index ldc = 0;
+};
+
+/// `items` independent [M,K] x [K,N] products, item(i) naming each one's
+/// operands, written straight into the caller's (possibly strided)
+/// output; epilogue(i, item) then runs on item i's finished rows in the
+/// same task. Blocked/parallel multiply on `packed` panels when given
+/// (the naive loop always reads b); kParallel fans out over items at the
+/// ~1 MFLOP grain. Each item is bit-identical to a matmul/linear_fused
+/// product of the same operands on the same backend, and the FLOP ledger
+/// counts 2*M*N*K per item.
+void gemm_items(Index items, Index M, Index N, Index K,
+                const std::function<GemmItem(Index)>& item,
+                const std::function<void(Index, const GemmItem&)>& epilogue);
+
+/// Multi-head attention on projected, head-interleaved operands: q is
+/// [*, Nq, D], k and v are [*, Nk, D], and head h owns columns
+/// [h*dh, (h+1)*dh) with dh = D / heads. Returns the merged [*, Nq, D]
+/// softmax(q_h k_hᵀ * s) v_h. Each head's rows are read and written in
+/// place (row stride D), kᵀ comes from a transposing pack, and the score
+/// rows live in per-thread scratch, so no split/merge copy is made.
+/// Bit-identical, on every backend, to permuting the heads out, scale +
+/// softmax over matmul(q_h, k_hᵀ), matmul with v_h and permuting back;
+/// the FLOP ledger counts the same two products. kParallel fans out over
+/// (item, head) units at the ~1 MFLOP grain.
+Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
+                       Index heads, float s);
 
 Tensor transpose_last2(const Tensor& a);
 Tensor permute(const Tensor& a, const std::vector<Index>& perm);

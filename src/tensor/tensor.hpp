@@ -132,6 +132,13 @@ class Tensor {
     return buf_ == o.buf_;
   }
 
+  /// True when no other Tensor shares this one's buffer and this one
+  /// views all of it, so handing the buffer over aliases nothing.
+  [[nodiscard]] bool sole_owner() const {
+    return buf_ != nullptr && buf_.use_count() == 1 && offset_ == 0 &&
+           static_cast<Index>(buf_->size()) == numel();
+  }
+
   void fill(float v) {
     for (float& x : span()) x = v;
   }

@@ -2,9 +2,10 @@
 //  * gemm_blocked_prepacked is bit-identical to gemm_blocked (same packed
 //    panels, same loop order) on every shape the block/offset bookkeeping
 //    could mishandle, and the packed storage is 32-byte aligned;
-//  * the fused epilogue ops (linear_fused, matmul_scale_softmax,
+//  * the fused epilogue ops (linear_fused, gemm_items, attention_heads,
 //    layernorm_value) are bit-identical to the unfused op chains they
-//    replace, on every backend;
+//    replace, on every backend, and gemm_blocked_nt's transposing pack
+//    equals a materialised transpose;
 //  * the Arena reuses buffers (zero heap allocations once warm), zeroes
 //    them on acquire, and buffers outlive the arena itself.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -190,40 +192,149 @@ TEST(FusedEpilogues, LinearBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(FusedEpilogues, MatmulScaleSoftmaxBitIdenticalAcrossBackends) {
-  Rng rng(14);
-  Tensor a = rng.normal_tensor(Shape{2, 3, 9, 8}, 0.0f, 0.35f);
-  Tensor bt = rng.normal_tensor(Shape{2, 3, 8, 13}, 0.0f, 0.35f);
-  Tensor b2 = rng.normal_tensor(Shape{8, 13}, 0.0f, 0.35f);  // shared B
-  const float s = 1.0f / std::sqrt(8.0f);
+/// The attention core as the grad path composes it: permute each head
+/// out of [*, N, D], scale + softmax over q kᵀ, times v, permute back.
+Tensor composed_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          Index heads, float s) {
+  auto split = [heads](const Tensor& x) {  // [*, N, D] -> [*, h, N, dh]
+    std::vector<Index> dims = x.shape().dims();
+    const Index rank = x.rank();
+    dims.back() /= heads;
+    dims.insert(dims.end() - 1, heads);
+    std::vector<Index> perm(static_cast<std::size_t>(rank + 1));
+    for (Index i = 0; i <= rank; ++i) perm[static_cast<std::size_t>(i)] = i;
+    std::swap(perm[static_cast<std::size_t>(rank - 1)],
+              perm[static_cast<std::size_t>(rank - 2)]);
+    return ops::permute(x.reshape(Shape{std::move(dims)}), perm);
+  };
+  Tensor probs = ops::softmax_lastdim(
+      ops::scale(ops::matmul(split(q), ops::transpose_last2(split(k))), s));
+  Tensor o = ops::matmul(probs, split(v));  // [*, h, Nq, dh]
+  const Index rank = o.rank();
+  std::vector<Index> perm(static_cast<std::size_t>(rank));
+  for (Index i = 0; i < rank; ++i) perm[static_cast<std::size_t>(i)] = i;
+  std::swap(perm[static_cast<std::size_t>(rank - 2)],
+            perm[static_cast<std::size_t>(rank - 3)]);
+  return ops::permute(o, perm).reshape(q.shape());
+}
+
+/// attention_heads vs composed_attention on q [lead..., Nq, D] and k/v
+/// [lead..., Nk, D], bitwise on every backend, plus backend agreement.
+void expect_attention_parity(std::vector<Index> lead, Index nq, Index nk,
+                             Index d, Index heads, std::uint64_t seed) {
+  Rng rng(seed);
+  const float s = 1.0f / std::sqrt(static_cast<float>(d / heads));
+  std::vector<Index> qd = lead, kd = lead;
+  qd.insert(qd.end(), {nq, d});
+  kd.insert(kd.end(), {nk, d});
+  Tensor q = rng.normal_tensor(Shape{qd}, 0.0f, 0.35f);
+  Tensor k = rng.normal_tensor(Shape{kd}, 0.0f, 0.35f);
+  Tensor v = rng.normal_tensor(Shape{kd}, 0.0f, 0.35f);
+  const std::string what = "attention_heads q " + q.shape().to_string() +
+                           " k " + k.shape().to_string() + " heads " +
+                           std::to_string(heads);
   for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
                           KernelBackend::kParallel}) {
     runtime::Scope scope(backend_patch(b));
-    EXPECT_EQ(
-        ops::max_abs_diff(ops::matmul_scale_softmax(a, bt, s),
-                          ops::softmax_lastdim(ops::scale(ops::matmul(a, bt),
-                                                          s))),
-        0.0f);
-    EXPECT_EQ(
-        ops::max_abs_diff(ops::matmul_scale_softmax(a, b2, s),
-                          ops::softmax_lastdim(ops::scale(ops::matmul(a, b2),
-                                                          s))),
-        0.0f);
+    Tensor got = ops::attention_heads(q, k, v, heads, s);
+    EXPECT_EQ(got.shape(), q.shape()) << what;
+    EXPECT_EQ(ops::max_abs_diff(got, composed_attention(q, k, v, heads, s)),
+              0.0f)
+        << what << ", backend " << to_string(b);
   }
-  // Big enough for kParallel's strips to cross the 37-row batch edges.
-  Tensor qa = rng.normal_tensor(Shape{3, 37, 256}, 0.0f, 1.0f / 16.0f);
-  Tensor kb = rng.normal_tensor(Shape{3, 256, 300}, 0.0f, 1.0f / 16.0f);
-  Tensor kshared = rng.normal_tensor(Shape{256, 300}, 0.0f, 1.0f / 16.0f);
-  for (const Tensor* bmat : {&kb, &kshared}) {
-    expect_backends_agree(
-        [&] { return ops::matmul_scale_softmax(qa, *bmat, 0.5f); },
-        "matmul_scale_softmax x " + bmat->shape().to_string());
-    runtime::Scope scope(backend_patch(KernelBackend::kParallel));
-    EXPECT_EQ(ops::max_abs_diff(
-                  ops::matmul_scale_softmax(qa, *bmat, 0.5f),
-                  ops::softmax_lastdim(ops::scale(ops::matmul(qa, *bmat),
-                                                  0.5f))),
-              0.0f);
+  expect_backends_agree([&] { return ops::attention_heads(q, k, v, heads, s); },
+                        what);
+}
+
+TEST(FusedEpilogues, AttentionHeadsMatchComposedReferenceOnEveryBackend) {
+  // Batched small heads, Nq != Nk, one to four heads.
+  for (Index heads : {1, 2, 4})
+    expect_attention_parity({2, 3}, 9, 13, 8 * heads, heads, 14);
+  // One query per item (the learned-query aggregator's shape).
+  expect_attention_parity({5}, 1, 7, 12, 3, 15);
+  // A rank-2 operand is a single item.
+  expect_attention_parity({}, 4, 6, 16, 2, 16);
+  // Big enough for kParallel to split the units unevenly, with the P * V
+  // inner dimension (Nk = 300) past one KC block.
+  expect_attention_parity({3}, 37, 300, 256, 1, 17);
+  // dh = 300 puts the score product's inner dimension past one KC block.
+  expect_attention_parity({2}, 5, 11, 600, 2, 18);
+}
+
+TEST(FusedEpilogues, AttentionHeadsRejectsMismatchedOperands) {
+  Tensor q(Shape{2, 3, 8});
+  Tensor k(Shape{2, 4, 8});
+  EXPECT_THROW((void)ops::attention_heads(q, k, k, 3, 1.0f),
+               std::exception);  // 8 % 3 != 0
+  EXPECT_THROW((void)ops::attention_heads(q, Tensor(Shape{1, 4, 8}),
+                                          Tensor(Shape{1, 4, 8}), 2, 1.0f),
+               std::exception);  // batch dims differ
+  EXPECT_THROW((void)ops::attention_heads(q, k, Tensor(Shape{2, 4, 6}), 2,
+                                          1.0f),
+               std::exception);  // v is not k's shape
+}
+
+TEST(FusedEpilogues, GemmItemsWritesStridedOutputBitIdenticalToMatmul) {
+  // Three items of [5, 7] x [7, 6], each with its own B, written as
+  // column blocks of one [5, 18] output (row stride 18), with an epilogue
+  // that adds 1 in place.
+  Rng rng(19);
+  Tensor a = rng.normal_tensor(Shape{3, 5, 7});
+  Tensor b = rng.normal_tensor(Shape{3, 7, 6});
+  std::vector<gemm::PackedB> packs;
+  for (Index i = 0; i < 3; ++i)
+    packs.push_back(gemm::pack_b_matrix(b.data() + i * 42, 7, 6, 6));
+  for (KernelBackend be : {KernelBackend::kNaive, KernelBackend::kBlocked,
+                           KernelBackend::kParallel}) {
+    runtime::Scope scope(backend_patch(be));
+    Tensor want = ops::add_scalar(ops::matmul(a, b), 1.0f);  // [3, 5, 6]
+    for (bool use_packs : {true, false}) {
+      Tensor out(Shape{5, 18});
+      ops::gemm_items(
+          3, 5, 6, 7,
+          [&](Index i) {
+            return ops::GemmItem{
+                .a = a.data() + i * 35,
+                .lda = 7,
+                .b = b.data() + i * 42,
+                .ldb = 6,
+                .packed = use_packs ? &packs[static_cast<std::size_t>(i)]
+                                    : nullptr,
+                .c = out.data() + i * 6,
+                .ldc = 18};
+          },
+          [](Index, const ops::GemmItem& g) {
+            for (Index r = 0; r < 5; ++r)
+              for (Index j = 0; j < 6; ++j)
+                g.c[r * g.ldc + j] = g.c[r * g.ldc + j] + 1.0f;
+          });
+      for (Index i = 0; i < 3; ++i)
+        for (Index r = 0; r < 5; ++r)
+          for (Index j = 0; j < 6; ++j)
+            EXPECT_EQ(out.at({r, i * 6 + j}), want.at({i, r, j}))
+                << to_string(be) << (use_packs ? " packed" : " per-call");
+    }
+  }
+}
+
+TEST(GemmPrepacked, TransposedBMatchesMaterialisedTranspose) {
+  // gemm_blocked_nt reads B through a transposing pack: the panels, and
+  // so the bits, equal gemm_blocked's on the materialised transpose.
+  for (const auto& [M, N, K] : {std::tuple<Index, Index, Index>{9, 13, 8},
+                                {37, 300, 256},
+                                {5, 11, 300},
+                                {121, 520, 33}}) {
+    Rng rng(static_cast<std::uint64_t>(M * 1000 + N));
+    Tensor a = rng.normal_tensor(Shape{M, K});
+    Tensor bt = rng.normal_tensor(Shape{N, K + 3});  // row stride K + 3
+    Tensor b = ops::transpose_last2(ops::slice(bt, 1, 0, K));  // [K, N]
+    Tensor want(Shape{M, N});
+    Tensor got(Shape{M, N});
+    gemm::gemm_blocked(M, N, K, a.data(), K, b.data(), N, want.data(), N);
+    gemm::gemm_blocked_nt(M, N, K, a.data(), K, bt.data(), K + 3, got.data(),
+                          N);
+    EXPECT_EQ(ops::max_abs_diff(want, got), 0.0f)
+        << "M=" << M << " N=" << N << " K=" << K;
   }
 }
 

@@ -101,15 +101,19 @@ TEST(MatmulParity, FlopLedgerIdenticalAcrossBackends) {
   Rng rng(10);
   Tensor a = rng.normal_tensor(Shape{33, 47});
   Tensor b = rng.normal_tensor(Shape{47, 21});
-  Tensor q = rng.normal_tensor(Shape{2, 9, 47});
-  Tensor kt = rng.normal_tensor(Shape{2, 47, 13});
-  // matmul, linear_fused, matmul_scale_softmax: 2*M*N*K on every backend.
-  const std::uint64_t want[3] = {2ull * 33 * 47 * 21, 2ull * 33 * 47 * 21,
-                                 2ull * 2 * 9 * 47 * 13};
+  Tensor q = rng.normal_tensor(Shape{2, 9, 94});
+  Tensor kv = rng.normal_tensor(Shape{2, 13, 94});
+  Tensor c(Shape{5, 33, 21});
+  // matmul, linear_fused, gemm_items: 2*M*N*K per product on every
+  // backend; attention_heads (2 heads of dh = 47): its score and P * V
+  // products, as the composed matmuls count them.
+  const std::uint64_t want[4] = {2ull * 33 * 47 * 21, 2ull * 33 * 47 * 21,
+                                 5ull * 2 * 33 * 21 * 47,
+                                 2 * (2ull * 2 * 2 * 9 * 13 * 47)};
   for (KernelBackend be : {KernelBackend::kNaive, KernelBackend::kBlocked,
                            KernelBackend::kParallel}) {
     runtime::Scope scope(backend_patch(be));
-    std::uint64_t got[3];
+    std::uint64_t got[4];
     ops::reset_flops();
     (void)ops::matmul(a, b);
     got[0] = ops::flops_executed();
@@ -117,10 +121,29 @@ TEST(MatmulParity, FlopLedgerIdenticalAcrossBackends) {
     (void)ops::linear_fused(a, b, nullptr, {});
     got[1] = ops::flops_executed();
     ops::reset_flops();
-    (void)ops::matmul_scale_softmax(q, kt, 0.5f);
+    ops::gemm_items(
+        5, 33, 21, 47,
+        [&](Index i) {
+          return ops::GemmItem{.a = a.data(),
+                               .lda = 47,
+                               .b = b.data(),
+                               .ldb = 21,
+                               .c = c.data() + i * 33 * 21,
+                               .ldc = 21};
+        },
+        [](Index, const ops::GemmItem&) {});
     got[2] = ops::flops_executed();
-    for (int i = 0; i < 3; ++i)
+    ops::reset_flops();
+    (void)ops::attention_heads(q, kv, kv, 2, 0.5f);
+    got[3] = ops::flops_executed();
+    for (int i = 0; i < 4; ++i)
       EXPECT_EQ(got[i], want[i]) << to_string(be) << ", entry point " << i;
+    // The ledger's attention count is what the composed path records.
+    ops::reset_flops();
+    Tensor qh = ops::permute(q.reshape(Shape{2, 9, 2, 47}), {0, 2, 1, 3});
+    Tensor kh = ops::permute(kv.reshape(Shape{2, 13, 2, 47}), {0, 2, 1, 3});
+    (void)ops::matmul(ops::matmul(qh, ops::transpose_last2(kh)), kh);
+    EXPECT_EQ(ops::flops_executed(), want[3]) << to_string(be);
   }
 }
 

@@ -30,6 +30,43 @@ TEST(Autograd, SimpleChainRule) {
   for (float g : x.grad().span()) EXPECT_EQ(g, 2.0f);
 }
 
+TEST(Autograd, FirstGradientTakesOverAFreshBuffer) {
+  // loss = sum(2 * x): the seed [1], sum_all's backward [n] and scale's
+  // backward [n] are each a fresh temporary, so every node adopts its
+  // first gradient's buffer instead of cloning it.
+  constexpr Index n = 1000;
+  Variable x = Variable::param(Tensor(Shape{n}, 1.0f));
+  Variable loss = sum_all(scale(x, 2.0f));
+  const std::uint64_t before = tensor::bytes_allocated();
+  loss.backward();
+  EXPECT_EQ(tensor::bytes_allocated() - before, (1 + 2 * n) * sizeof(float))
+      << "a first gradient was copied instead of adopted";
+  for (float g : x.grad().span()) EXPECT_EQ(g, 2.0f);
+}
+
+TEST(Autograd, SharedGradientBuffersAreCopiedNotAliased) {
+  // add's backward hands one buffer to both parents, and reshape's
+  // backward shares the child's: each parent must own a separate copy.
+  Variable a = Variable::param(Tensor(Shape{2, 3}, 1.0f));
+  Variable b = Variable::param(Tensor(Shape{2, 3}, 2.0f));
+  Variable r = reshape(a, Shape{3, 2});
+  Variable sum = add(reshape(r, Shape{2, 3}), b);
+  Variable loss = sum_all(mul(sum, sum));
+  loss.backward();
+  EXPECT_FALSE(a.grad().same_storage(b.grad()));
+  EXPECT_FALSE(a.grad().same_storage(r.grad()));
+  EXPECT_FALSE(sum.grad().same_storage(b.grad()));
+  // d/da = d/db = 2 * (a + b) = 6; accumulating into one must not move
+  // the other.
+  for (float g : a.grad().span()) EXPECT_EQ(g, 6.0f);
+  for (float g : b.grad().span()) EXPECT_EQ(g, 6.0f);
+  Variable again = sum_all(scale(a, 1.0f));
+  again.backward();
+  for (float g : a.grad().span()) EXPECT_EQ(g, 7.0f);
+  for (float g : b.grad().span()) EXPECT_EQ(g, 6.0f);
+  for (float g : r.grad().span()) EXPECT_EQ(g, 6.0f);
+}
+
 TEST(Autograd, GradAccumulatesAcrossUses) {
   // loss = sum(x) + sum(x) => grad 2 per element
   Variable x = Variable::param(Tensor(Shape{4}, 1.0f));
