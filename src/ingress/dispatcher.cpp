@@ -227,6 +227,11 @@ std::size_t Ingress::queue_depth() const {
   return queue_.size();
 }
 
+bool Ingress::draining() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return draining_;
+}
+
 Counters::Snapshot Ingress::counters() const {
   std::size_t workers = 0, depth = 0;
   {

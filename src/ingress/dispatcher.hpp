@@ -112,6 +112,9 @@ class Ingress {
   [[nodiscard]] std::size_t worker_count() const;
   /// Admission queue depth right now.
   [[nodiscard]] std::size_t queue_depth() const;
+  /// True once drain() has begun: from then on every request that
+  /// reaches admission is rejected with kShuttingDown.
+  [[nodiscard]] bool draining() const;
   /// The full /metrics exposition (serve::Metrics + ingress counters).
   [[nodiscard]] std::string metrics_text() const;
 

@@ -1,8 +1,8 @@
 // The "should this loop fan out?" policy for elementwise, row and plane
-// loops: ops.cpp's elementwise/softmax/layernorm/sum_dim kernels and the
-// model-layer data movers (patchify/unpatchify) dispatch through here, so
-// backend gating, grain thresholds and lane caps never drift between
-// them. GEMMs fan out in ops.cpp's gemm_rows instead, at ~1 MFLOP row
+// loops: ops.cpp's elementwise, broadcast, permute, softmax, layernorm
+// and sum_dim kernels and the model-layer data movers
+// (patchify/unpatchify) dispatch through here, so backend gating, grain
+// thresholds and lane caps never drift between them. GEMMs fan out in ops.cpp's gemm_rows instead, at ~1 MFLOP row
 // strips.
 #pragma once
 

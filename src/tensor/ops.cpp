@@ -50,17 +50,115 @@ Shape broadcast_shape(const Shape& a, const Shape& b) {
     DCHAG_CHECK(av == bv || av == 1 || bv == 1,
                 "incompatible broadcast " << a.to_string() << " vs "
                                           << b.to_string());
-    dims[static_cast<std::size_t>(d)] = std::max(av, bv);
+    // An extent of 1 stretches to the other side's, zero included.
+    dims[static_cast<std::size_t>(d)] = av == 1 ? bv : av;
   }
   return Shape(std::move(dims));
 }
 
+/// An index space walked by two operands at once: `dims` outermost first,
+/// and per dimension one stride into each operand (s0, s1).
+struct Walk {
+  std::vector<Index> dims;
+  std::vector<Index> s0;
+  std::vector<Index> s1;
+
+  [[nodiscard]] Index rank() const { return static_cast<Index>(dims.size()); }
+
+  /// The same walk without dimension `d`.
+  [[nodiscard]] Walk without(Index d) const {
+    Walk w = *this;
+    const auto at = static_cast<std::ptrdiff_t>(d);
+    w.dims.erase(w.dims.begin() + at);
+    w.s0.erase(w.s0.begin() + at);
+    w.s1.erase(w.s1.begin() + at);
+    return w;
+  }
+};
+
+/// The row-major walk of `out` (numel > 0) with operand strides s0/s1,
+/// with extent-1 dimensions dropped and each dimension merged into the
+/// one outside it wherever both operands step across the pair evenly. A
+/// bias add over [B, S, D] becomes B·S rows of D; a permute that keeps
+/// the last dimension last becomes rows to memcpy. A one-element space
+/// is one dimension of extent 1 with unit strides.
+Walk collapse(const Shape& out, const std::vector<Index>& s0,
+              const std::vector<Index>& s1) {
+  Walk w;
+  for (Index d = 0; d < out.rank(); ++d) {
+    const Index n = out.dim(d);
+    if (n == 1) continue;
+    const auto ud = static_cast<std::size_t>(d);
+    if (!w.dims.empty() && w.s0.back() == s0[ud] * n &&
+        w.s1.back() == s1[ud] * n) {
+      w.dims.back() *= n;
+      w.s0.back() = s0[ud];
+      w.s1.back() = s1[ud];
+    } else {
+      w.dims.push_back(n);
+      w.s0.push_back(s0[ud]);
+      w.s1.push_back(s1[ud]);
+    }
+  }
+  if (w.dims.empty()) w = Walk{{1}, {1}, {1}};
+  return w;
+}
+
+/// Row-major odometer over a Walk, carrying the two operand offsets.
+class Odometer {
+ public:
+  explicit Odometer(Walk w)
+      : w_(std::move(w)), idx_(static_cast<std::size_t>(w_.rank()), 0) {}
+
+  /// Moves to the `i`-th index of the walk.
+  void seek(Index i) {
+    o0_ = 0;
+    o1_ = 0;
+    for (Index d = w_.rank() - 1; d >= 0; --d) {
+      const auto ud = static_cast<std::size_t>(d);
+      idx_[ud] = i % w_.dims[ud];
+      i /= w_.dims[ud];
+      o0_ += idx_[ud] * w_.s0[ud];
+      o1_ += idx_[ud] * w_.s1[ud];
+    }
+  }
+
+  /// Moves to the next index (wrapping to the first after the last).
+  void next() {
+    for (Index d = w_.rank() - 1; d >= 0; --d) {
+      const auto ud = static_cast<std::size_t>(d);
+      o0_ += w_.s0[ud];
+      o1_ += w_.s1[ud];
+      if (++idx_[ud] < w_.dims[ud]) return;
+      o0_ -= w_.s0[ud] * w_.dims[ud];
+      o1_ -= w_.s1[ud] * w_.dims[ud];
+      idx_[ud] = 0;
+    }
+  }
+
+  [[nodiscard]] Index o0() const { return o0_; }
+  [[nodiscard]] Index o1() const { return o1_; }
+
+ private:
+  Walk w_;
+  std::vector<Index> idx_;
+  Index o0_ = 0;
+  Index o1_ = 0;
+};
+
+/// o[j] = f(a[j * IA], b[j * IB]) for one broadcast run; the unit-or-zero
+/// strides are template arguments so each variant is a plain loop.
+template <Index IA, Index IB, typename F>
+void broadcast_run(float* o, const float* a, const float* b, Index n, F& f) {
+  for (Index j = 0; j < n; ++j) o[j] = f(a[j * IA], b[j * IB]);
+}
+
 template <typename F>
 Tensor binary_op(const Tensor& a, const Tensor& b, F&& f) {
+  const float* pa = a.data();
+  const float* pb = b.data();
   if (a.shape() == b.shape()) {  // fast path, no index math
     Tensor out(a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
     float* po = out.data();
     dispatch_range(a.numel(), kEwGrain, [&](Index lo, Index hi) {
       for (Index i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
@@ -68,31 +166,34 @@ Tensor binary_op(const Tensor& a, const Tensor& b, F&& f) {
     return out;
   }
   const Shape out_shape = broadcast_shape(a.shape(), b.shape());
-  const auto sa = broadcast_strides(a.shape(), out_shape);
-  const auto sb = broadcast_strides(b.shape(), out_shape);
   Tensor out(out_shape);
-  const Index rank = out_shape.rank();
-  std::vector<Index> idx(static_cast<std::size_t>(rank), 0);
-  const float* pa = a.data();
-  const float* pb = b.data();
+  const Index total = out_shape.numel();
+  if (total == 0) return out;
+  const Walk w = collapse(out_shape, broadcast_strides(a.shape(), out_shape),
+                          broadcast_strides(b.shape(), out_shape));
+  // The innermost dimension is the run: each operand's stride there is 1,
+  // or 0 where it broadcasts (a contiguous operand's last kept dimension
+  // has nothing but extent-1 dimensions inside it). Not both are 0: a
+  // dimension both sides broadcast has extent 1 and was dropped.
+  const Index n = w.dims.back();
+  const Index ia = w.s0.back();
+  const Index ib = w.s1.back();
+  auto run = ia == 0   ? &broadcast_run<0, 1, F>
+             : ib == 0 ? &broadcast_run<1, 0, F>
+                       : &broadcast_run<1, 1, F>;
+  const Walk rows = w.without(w.rank() - 1);
   float* po = out.data();
-  Index oa = 0;
-  Index ob = 0;
-  const Index n = out_shape.numel();
-  for (Index i = 0; i < n; ++i) {
-    po[i] = f(pa[oa], pb[ob]);
-    // odometer increment over the output index space
-    for (Index d = rank - 1; d >= 0; --d) {
-      auto ud = static_cast<std::size_t>(d);
-      ++idx[ud];
-      oa += sa[ud];
-      ob += sb[ud];
-      if (idx[ud] < out_shape.dim(d)) break;
-      oa -= sa[ud] * out_shape.dim(d);
-      ob -= sb[ud] * out_shape.dim(d);
-      idx[ud] = 0;
+  // Element ranges, so a chunk may start or end inside a run.
+  dispatch_range(total, kEwGrain, [&](Index lo, Index hi) {
+    Odometer it(rows);
+    it.seek(lo / n);
+    for (Index col = lo % n; lo < hi; col = 0) {
+      const Index len = std::min(n - col, hi - lo);
+      run(po + lo, pa + it.o0() + col * ia, pb + it.o1() + col * ib, len, f);
+      lo += len;
+      it.next();
     }
-  }
+  });
   return out;
 }
 
@@ -528,24 +629,64 @@ Tensor permute(const Tensor& a, const std::vector<Index>& perm) {
     out_dims[static_cast<std::size_t>(d)] = a.dim(s);
     src_strides[static_cast<std::size_t>(d)] = a.shape().stride(s);
   }
-  Shape out_shape{std::vector<Index>(out_dims)};
+  const Shape out_shape{std::vector<Index>(out_dims)};
   Tensor out(out_shape);
+  if (out_shape.numel() == 0) return out;
+  std::vector<Index> out_strides(static_cast<std::size_t>(rank));
+  for (Index d = 0; d < rank; ++d)
+    out_strides[static_cast<std::size_t>(d)] = out_shape.stride(d);
+  // s0 reads the source, s1 writes the output.
+  const Walk w = collapse(out_shape, src_strides, out_strides);
+  const Index last = w.rank() - 1;
+  const Index n = w.dims.back();
   const float* p = a.data();
-  float* o = out.data();
-  std::vector<Index> idx(static_cast<std::size_t>(rank), 0);
-  Index src = 0;
-  const Index n = out_shape.numel();
-  for (Index i = 0; i < n; ++i) {
-    o[i] = p[src];
-    for (Index d = rank - 1; d >= 0; --d) {
-      auto ud = static_cast<std::size_t>(d);
-      ++idx[ud];
-      src += src_strides[ud];
-      if (idx[ud] < out_dims[ud]) break;
-      src -= src_strides[ud] * out_dims[ud];
-      idx[ud] = 0;
-    }
+  float* po = out.data();
+  if (w.s0.back() == 1) {
+    // The last dimension stays last: output row r is one contiguous run
+    // of the source.
+    const Walk rows = w.without(last);
+    dispatch_range(out_shape.numel() / n,
+                   std::max<Index>(1, kEwGrain / n), [&](Index lo, Index hi) {
+                     Odometer it(rows);
+                     it.seek(lo);
+                     for (Index r = lo; r < hi; ++r, it.next())
+                       std::memcpy(po + r * n, p + it.o0(),
+                                   static_cast<std::size_t>(n) * sizeof(float));
+                   });
+    return out;
   }
+  // The last dimension moves: the source's contiguous dimension c (its
+  // innermost one of extent > 1, stride 1) lands elsewhere in the
+  // output. Every (c, last) plane is a transpose, copied
+  // through kTile x kTile tiles so both sides stay in cache; the units of
+  // work are kTile-row strips of c in every plane.
+  constexpr Index kTile = 32;
+  const Index c = static_cast<Index>(
+      std::find(w.s0.begin(), w.s0.end(), Index{1}) - w.s0.begin());
+  const Index nc = w.dims[static_cast<std::size_t>(c)];
+  const Index src_step = w.s0.back();
+  const Index out_step = w.s1[static_cast<std::size_t>(c)];
+  const Index strips = (nc + kTile - 1) / kTile;
+  const Walk planes = w.without(last).without(c);
+  dispatch_range(
+      out_shape.numel() / (nc * n) * strips,
+      std::max<Index>(1, kEwGrain / (kTile * n)), [&](Index lo, Index hi) {
+        Odometer it(planes);
+        it.seek(lo / strips);
+        for (Index u = lo; u < hi; ++u) {
+          if (u != lo && u % strips == 0) it.next();
+          const float* src = p + it.o0();
+          float* dst = po + it.o1();
+          const Index i0 = u % strips * kTile;
+          const Index i1 = std::min(nc, i0 + kTile);
+          for (Index j0 = 0; j0 < n; j0 += kTile) {
+            const Index j1 = std::min(n, j0 + kTile);
+            for (Index i = i0; i < i1; ++i)
+              for (Index j = j0; j < j1; ++j)
+                dst[i * out_step + j] = src[i + j * src_step];
+          }
+        }
+      });
   return out;
 }
 

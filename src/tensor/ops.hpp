@@ -10,8 +10,11 @@
 // attention_heads) share one per-product backend kernel (the naive loop or
 // gemm.cpp's blocked micro-kernel) and fan out in ~1 MFLOP units; they
 // differ only in how they lay out operands and in their epilogues. The
-// elementwise/broadcast fast paths, softmax, layernorm and sum_dim fan out
-// through tensor/dispatch.hpp.
+// elementwise and broadcast ops, permute, softmax, layernorm and sum_dim
+// fan out through tensor/dispatch.hpp. Broadcast ops and permute merge
+// the dimensions their operands walk evenly and then work in whole rows
+// (a broadcast run, a memcpy, or cache tiles of a transpose), so their
+// index math is per row, not per element.
 #pragma once
 
 #include <atomic>

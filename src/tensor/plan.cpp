@@ -21,41 +21,74 @@ struct Arena::State {
   std::unordered_map<Index, std::vector<std::unique_ptr<AlignedVec>>> pool;
   std::uint64_t fresh = 0;
   std::uint64_t reused = 0;
+  /// Cleared by ~Arena: buffers released after it are freed, not parked.
+  bool open = true;
+
+  /// A parked buffer of exactly `n` floats, or null on a miss.
+  std::unique_ptr<AlignedVec> pop(Index n) {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = pool.find(n);
+    if (it == pool.end() || it->second.empty()) {
+      ++fresh;
+      return nullptr;
+    }
+    std::unique_ptr<AlignedVec> buf = std::move(it->second.back());
+    it->second.pop_back();
+    ++reused;
+    return buf;
+  }
 };
+
+namespace {
+
+/// A zero-filled heap buffer for a pool miss.
+std::unique_ptr<AlignedVec> allocate(Index n) {
+  ++t_buffer_allocations;
+  return std::make_unique<AlignedVec>(static_cast<std::size_t>(n));
+}
+
+}  // namespace
 
 Arena::Arena() : state_(std::make_shared<State>()) {}
 
-std::shared_ptr<AlignedVec> Arena::acquire_raw(Index n) {
-  std::unique_ptr<AlignedVec> buf;
+Arena::~Arena() {
+  decltype(State::pool) parked;  // freed below, outside the lock
   {
     std::lock_guard<std::mutex> lock(state_->mu);
-    auto it = state_->pool.find(n);
-    if (it != state_->pool.end() && !it->second.empty()) {
-      buf = std::move(it->second.back());
-      it->second.pop_back();
-      ++state_->reused;
-    } else {
-      ++state_->fresh;
-    }
+    state_->open = false;
+    parked.swap(state_->pool);
   }
-  if (!buf) {
-    buf = std::make_unique<AlignedVec>(static_cast<std::size_t>(n));
-    ++t_buffer_allocations;
-  }
-  // The deleter owns a reference to the shared state, so buffers released
-  // after the Arena object is gone still park (and ultimately free) safely.
+}
+
+std::shared_ptr<AlignedVec> Arena::lend(
+    std::unique_ptr<AlignedVec> buf) const {
   std::shared_ptr<State> state = state_;
-  AlignedVec* raw = buf.release();
-  return std::shared_ptr<AlignedVec>(raw, [state](AlignedVec* p) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->pool[static_cast<Index>(p->size())].emplace_back(p);
+  return std::shared_ptr<AlignedVec>(buf.release(), [state](AlignedVec* p) {
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (state->open) {
+        state->pool[static_cast<Index>(p->size())].emplace_back(p);
+        return;
+      }
+    }
+    delete p;
   });
 }
 
+std::shared_ptr<AlignedVec> Arena::acquire_raw(Index n) {
+  std::unique_ptr<AlignedVec> buf = state_->pop(n);
+  if (!buf) buf = allocate(n);
+  return lend(std::move(buf));
+}
+
 std::shared_ptr<AlignedVec> Arena::acquire(Index n) {
-  std::shared_ptr<AlignedVec> buf = acquire_raw(n);
-  std::fill(buf->begin(), buf->end(), 0.0f);
-  return buf;
+  std::unique_ptr<AlignedVec> buf = state_->pop(n);
+  if (buf) {
+    std::fill(buf->begin(), buf->end(), 0.0f);
+  } else {
+    buf = allocate(n);  // born zeroed
+  }
+  return lend(std::move(buf));
 }
 
 Arena::Stats Arena::stats() const {

@@ -1,21 +1,25 @@
-// Static memory plan for the tape-free serving forward: a size-keyed
-// arena of aligned, reusable tensor buffers.
+// Static memory plan for repeated passes (the serving forward, the
+// training step): a size-keyed arena of aligned, reusable tensor buffers.
 //
-// A forward pass builds the same graph every request, so the multiset of
-// buffer sizes it allocates is identical from one request to the next.
-// Installing an ArenaScope on the serving thread reroutes every Tensor
-// construction on that thread through the arena: the first request per
-// (batch, channel-subset) lane populates the pool (warm-up), and every
-// later request draws exclusively from it — zero heap allocations in
-// steady state, which tests and the serving bench gate on via
-// thread_buffer_allocations().
+// A forward pass builds the same graph every request, and a training
+// step the same graph and tape every step, so the multiset of buffer
+// sizes allocated is identical from one pass to the next. Installing an
+// ArenaScope on a thread reroutes every Tensor construction on that
+// thread through the arena: the first pass per shape populates the pool
+// (warm-up), and every later pass draws exclusively from it — zero heap
+// allocations in steady state, which tests and the serving bench gate on
+// via thread_buffer_allocations(). Engine and SpmdEngine own one for
+// serving; train_mae, train_forecast and evaluate_forecast_rmse each own
+// one for their loop.
 //
 // Lifetime: buffers carry a deleter owning a reference to the arena's
-// shared state, so result tensors that escape the scope (responses, the
-// SPMD published result) stay valid past the arena — and still return
-// their buffer to the pool when the last Tensor referencing it dies.
-// The pool itself is mutex-protected: one Engine-owned arena is shared
-// by every server worker thread.
+// shared state, so tensors that escape the scope (responses, the SPMD
+// published result, parameter gradients after a training loop) stay
+// valid past it. While the Arena lives, a released buffer returns to
+// the pool; once it is destroyed, the parked buffers are freed and a
+// buffer released later is freed too, so an escaped tensor keeps only
+// its own buffer alive. The pool is mutex-protected: one Engine-owned
+// arena is shared by every server worker thread.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +50,9 @@ class Arena {
   Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-  ~Arena() = default;  // outstanding buffers keep the shared state alive
+  /// Frees the parked buffers. Buffers still in use stay valid and are
+  /// freed, not parked, when their last Tensor dies.
+  ~Arena();
 
   /// A zero-filled buffer of exactly `n` floats, pooled if available.
   [[nodiscard]] std::shared_ptr<AlignedVec> acquire(Index n);
@@ -58,6 +64,10 @@ class Arena {
 
  private:
   struct State;
+  /// Wraps `buf` with the deleter that parks it here (see Lifetime).
+  [[nodiscard]] std::shared_ptr<AlignedVec> lend(
+      std::unique_ptr<AlignedVec> buf) const;
+
   std::shared_ptr<State> state_;
 };
 

@@ -1,5 +1,7 @@
 #include "train/loops.hpp"
 
+#include "tensor/plan.hpp"
+
 namespace dchag::train {
 
 using model::MaeModel;
@@ -13,6 +15,8 @@ TrainCurve train_mae(
     std::optional<runtime::Context> ctx) {
   runtime::Scope scope(runtime::Context::effective_or_current(ctx));
   Adam opt(mae.parameters(), cfg.adam);
+  tensor::plan::Arena arena;
+  tensor::plan::ArenaScope on_arena(arena);
   TrainCurve curve;
   curve.losses.reserve(static_cast<std::size_t>(cfg.steps));
   const Index seq = mae.config().seq_len();
@@ -41,6 +45,8 @@ TrainCurve train_forecast(
     std::optional<runtime::Context> ctx) {
   runtime::Scope scope(runtime::Context::effective_or_current(ctx));
   Adam opt(fm.parameters(), cfg.adam);
+  tensor::plan::Arena arena;
+  tensor::plan::ArenaScope on_arena(arena);
   TrainCurve curve;
   curve.losses.reserve(static_cast<std::size_t>(cfg.steps));
   for (Index step = 0; step < cfg.steps; ++step) {
@@ -59,6 +65,8 @@ std::vector<float> evaluate_forecast_rmse(
     const model::ForecastModel& fm, Index patch,
     const std::function<std::pair<Tensor, Tensor>(Index)>& next_pair,
     Index batches) {
+  tensor::plan::Arena arena;
+  tensor::plan::ArenaScope on_arena(arena);
   std::vector<double> se;
   Index count = 0;
   for (Index i = 0; i < batches; ++i) {

@@ -3,6 +3,12 @@
 // front-end's select_input() picks the rank's channel slice, masks/batches
 // are derived from shared seeds so every rank sees identical data, and
 // rank-local parameters train on purely local gradients (D-CHAG's design).
+//
+// Each loop allocates its tensors from a plan::Arena it owns for its
+// duration (see tensor/plan.hpp): every step builds the same graph, so
+// after the first step the loop reuses that step's buffers instead of
+// going back to the heap. Tensors that outlive the loop, such as the
+// parameters' gradients, keep only their own buffers.
 #pragma once
 
 #include <functional>
